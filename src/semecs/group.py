@@ -10,14 +10,24 @@ order-q subgroup of Z_p*.  Two interchangeable backends are provided:
 * ``PRODUCTION_GROUP`` -- a fixed 256-bit safe-prime group at the 128-bit
   security level.  Scalars and group elements both encode to 32 octets.
 
+Every single power of the fixed generator alpha (key-generation commitments,
+Schnorr nonces) is read from a fixed-base table built once per group
+(Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3): row i holds
+alpha^(d * 2^(6i)) for every 6-bit digit d, so alpha^k is one multiply per
+row.  Powers of any other base use CPython's ``pow``.
+
 Scalar arithmetic on the production path avoids value-dependent branching at
-the Python level; CPython big integers are not constant-time, so this is
-hygiene, not a hardened side-channel guarantee.
+the Python level, and every power of alpha does the same number of multiplies
+whatever the exponent.  The table is still indexed by secret digits, which
+is no worse than the sliding window inside CPython's ``pow`` but no better
+either; CPython big integers are not constant-time, so this is hygiene, not
+a hardened side-channel guarantee.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import secrets
 from dataclasses import dataclass
 
@@ -25,6 +35,13 @@ from .errors import MalformedEncoding, OracleRefused, RngFailure
 
 #: Largest subgroup order the exhaustive discrete-log oracle will search.
 DLOG_ORACLE_BOUND = 1 << 24
+
+#: Digit width of the fixed-base table for alpha: 43 rows of 64 entries
+#: (about 180 KiB, about a millisecond to build) for the 255-bit group.
+#: Wider digits cost fewer multiplies per power but a build time that every
+#: short-lived process pays.
+_COMB_BITS = 6
+_COMB_MASK = (1 << _COMB_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -142,8 +159,14 @@ def _bump(field: str) -> None:
 # ---------------------------------------------------------------------------
 
 def exp(params: GroupParams, base: int, k: int) -> int:
-    """Single exponentiation base^k mod p."""
+    """Single exponentiation base^k mod p.
+
+    Powers of the generator alpha come from the group's fixed-base table;
+    any other base goes through ``pow``.  Both give the same value.
+    """
     _bump("exp_count")
+    if base == params.alpha:
+        return _alpha_pow(params, k)
     return pow(base, k, params.p)
 
 
@@ -170,6 +193,41 @@ def double_exp(params: GroupParams, big_y: int, e: int, s: int) -> int:
             acc = acc * big_y % p
         elif sb:
             acc = acc * g % p
+    return acc
+
+
+@functools.lru_cache(maxsize=8)
+def _alpha_table(params: GroupParams) -> tuple[tuple[int, ...], ...]:
+    """Rows alpha^(d * 2^(W*i)) for d in [0, 2^W), one per W-bit digit of q.
+
+    W is ``_COMB_BITS``.  Cached per parameter set: equal parameters parsed
+    from a key file hash equal, so they share the entry of the constant they
+    match.
+    """
+    p = params.p
+    rows = []
+    base = params.alpha
+    for _ in range(-(-params.q.bit_length() // _COMB_BITS)):
+        row = [1]
+        for _ in range(_COMB_MASK):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
+
+
+def _alpha_pow(params: GroupParams, k: int) -> int:
+    """alpha^k mod p from the fixed-base table: one multiply per row.
+
+    k is reduced mod q first (alpha has order q), so negative and oversized
+    exponents agree with ``pow``.  No branch depends on a digit.
+    """
+    p = params.p
+    k %= params.q
+    acc = 1
+    for row in _alpha_table(params):
+        acc = acc * row[k & _COMB_MASK] % p
+        k >>= _COMB_BITS
     return acc
 
 

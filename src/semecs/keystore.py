@@ -11,7 +11,9 @@ One record format covers secret keys, signer states and public keys:
 All integers big-endian; files are position-independent single-record blobs.
 Writes are atomic (temp file, fsync, rename), and the signing counter is
 advanced on disk BEFORE a signature is released: a crash in between loses one
-index, never reuses one -- index reuse surrenders the private key.
+index, never reuses one -- index reuse surrenders the private key.  The
+counter's compare-and-set holds an exclusive ``flock`` on the state file's
+directory, so signers in separate processes cannot both win one index.
 
 The integrity tag is tamper evidence, not authentication; at-rest encryption
 is out of scope here.
@@ -19,6 +21,8 @@ is out of scope here.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import os
 import tempfile
@@ -196,27 +200,53 @@ def load_state(path) -> SignerStateRecord:
     return parse_record(data)
 
 
+@contextlib.contextmanager
+def _directory_lock(path):
+    """Hold an exclusive flock on the directory containing ``path``.
+
+    The directory, not the file: ``atomic_write`` replaces the file's inode,
+    so a lock on the file would not be seen by the next writer.  Closing the
+    descriptor releases the lock on every exit path.
+    """
+    directory = os.path.dirname(os.fspath(path)) or "."
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError as exc:
+        raise IoFailure(f"cannot open {directory!r} to lock it: {exc}") from exc
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise IoFailure(f"cannot lock {directory!r}: {exc}") from exc
+        yield
+    finally:
+        os.close(fd)
+
+
 def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) -> None:
     """Compare-and-set the on-disk counter from expected_j to expected_j + 1.
 
     ``new_payload`` atomically replaces the secret payload in the same write
     (the ETA chain value moves with the counter; SEMECS payloads never
     change).  A mismatched counter means another writer got there first.
+    The read, compare and write run under one directory lock, so two
+    processes cannot both advance from the same expected_j.
     """
-    record = load_state(path)
-    if record.j != expected_j:
-        raise StaleState(
-            f"on-disk counter is {record.j}, expected {expected_j} "
-            "(concurrent writer or stale handle)"
+    with _directory_lock(path):
+        record = load_state(path)
+        if record.j != expected_j:
+            raise StaleState(
+                f"on-disk counter is {record.j}, expected {expected_j} "
+                "(concurrent writer or stale handle)"
+            )
+        if record.j + 1 > record.K:
+            raise StaleState(f"counter cannot advance past capacity K={record.K}")
+        updated = _replace(
+            record,
+            j=record.j + 1,
+            payload=record.payload if new_payload is None else new_payload,
         )
-    if record.j + 1 > record.K:
-        raise StaleState(f"counter cannot advance past capacity K={record.K}")
-    updated = _replace(
-        record,
-        j=record.j + 1,
-        payload=record.payload if new_payload is None else new_payload,
-    )
-    save_state(path, updated)
+        save_state(path, updated)
 
 
 # ---------------------------------------------------------------------------

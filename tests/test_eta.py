@@ -32,6 +32,15 @@ def test_keygen_transcript_matches_oracle():
     assert state.r_cur == 4 and state.j == 0 and state.K == 3
 
 
+def test_production_keygen_matches_oracle():
+    y, r0 = 0x7E57_AB1E, 0xC4A1_5EED
+    state, pk = eta_keygen_from_secrets(PRODUCTION_GROUP, 16, y=y, r0=r0)
+    expected = eta_keygen_transcript(PRODUCTION_GROUP, y, r0, 16)
+    assert pk.Y == expected["Y"]
+    assert list(pk.tokens) == expected["tokens"]
+    assert state.r_cur == r0 == expected["chain"][0]
+
+
 @pytest.mark.parametrize("K", [1, 2, 8, 128])
 def test_token_count_matches_capacity(K, rng):
     _, pk = eta_keygen(TOY_GROUP, K, rng)

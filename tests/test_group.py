@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semecs import group
 from semecs.errors import MalformedEncoding, OracleRefused, RngFailure
 from semecs.group import (
     DLOG_ORACLE_BOUND,
@@ -117,6 +121,70 @@ def test_scalar_sub_mul_vectors():
     assert scalar_sub_mul(11, 4, 2, 3) == 9
     assert scalar_sub_mul(11, 7, 0, 3) == 7
     assert scalar_sub_mul(11, 4, 5, 3) == 0  # 4 - 15 = -11 = 0 mod 11
+
+
+# --- fixed-base table for alpha ---------------------------------------------
+
+_COMB_GROUPS = [TOY_GROUP, generate_toy_group(5000), PRODUCTION_GROUP]
+_COMB_IDS = ["toy", "toy5000", "prod"]
+
+
+@pytest.mark.parametrize("params", _COMB_GROUPS, ids=_COMB_IDS)
+def test_alpha_table_matches_pow(params):
+    q = params.q
+    edges = [0, 1, 63, 64, q - 1, q, q + 1, -1, 1 << 252, 1 << 254]
+    rnd = random.Random(0xC0B)
+    for k in edges + [rnd.randrange(0, q) for _ in range(1000)]:
+        assert exp(params, params.alpha, k) == pow(params.alpha, k, params.p), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_alpha_table_matches_pow_property(data):
+    params = data.draw(st.sampled_from(_COMB_GROUPS))
+    k = data.draw(st.integers(min_value=-2 * params.q, max_value=2 * params.q))
+    assert exp(params, params.alpha, k) == pow(params.alpha, k, params.p)
+
+
+def test_alpha_powers_take_the_table_path():
+    before = group._alpha_table.cache_info()
+    exp(PRODUCTION_GROUP, PRODUCTION_GROUP.alpha, 12345)
+    after = group._alpha_table.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+def test_other_bases_use_pow_and_count_one_exp(rng):
+    g = PRODUCTION_GROUP
+    before = group._alpha_table.cache_info()
+    for _ in range(50):
+        base = pow(g.alpha, rng.randrange(2, g.q), g.p)
+        k = rng.randrange(0, g.q)
+        with count_group_ops() as ops:
+            assert exp(g, base, k) == pow(base, k, g.p)
+        assert (ops.exp_count, ops.double_exp_count, ops.mul_count) == (1, 0, 0)
+    after = group._alpha_table.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+
+
+def test_parsed_parameters_share_the_constant_table_entry():
+    g = PRODUCTION_GROUP
+    group._alpha_table(g)
+    before = group._alpha_table.cache_info()
+    copy = GroupParams(p=g.p, q=g.q, alpha=g.alpha)  # as parse_record builds it
+    assert copy is not g
+    assert group._alpha_table(copy) is group._alpha_table(g)
+    assert group._alpha_table.cache_info().misses == before.misses
+
+
+def test_alpha_table_cache_stays_bounded():
+    maxsize = group._alpha_table.cache_info().maxsize
+    params = TOY_GROUP
+    for _ in range(maxsize + 4):
+        params = generate_toy_group(params.q + 1)
+        assert exp(params, params.alpha, params.q - 2) == pow(params.alpha, -2, params.p)
+    assert group._alpha_table.cache_info().currsize <= maxsize
+    # the evicted constant rebuilds to the same table
+    assert exp(PRODUCTION_GROUP, 4, 1 << 200) == pow(4, 1 << 200, PRODUCTION_GROUP.p)
 
 
 # --- dlog oracle ------------------------------------------------------------

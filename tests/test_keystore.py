@@ -1,10 +1,12 @@
 import hashlib
+import multiprocessing
+import os
 import random
 
 import pytest
 
 from semecs import keystore
-from semecs.errors import CorruptState, DuplicateBeta, StaleState
+from semecs.errors import CorruptState, DuplicateBeta, StaleState, StatePersistFailure
 from semecs.eta import eta_keygen
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, generate_toy_group
 from semecs.keystore import (
@@ -18,7 +20,13 @@ from semecs.keystore import (
     serialize_record,
 )
 from semecs.schnorr import schnorr_keygen
-from semecs.semecs import semecs_keygen, semecs_keygen_from_secret, semecs_sign
+from semecs.semecs import (
+    envelope_challenge,
+    extract_private_key,
+    semecs_keygen,
+    semecs_keygen_from_secret,
+    semecs_sign,
+)
 
 
 def _semecs_record(params=None, K=4, y=5):
@@ -253,6 +261,61 @@ def test_crash_between_advance_and_release_burns_the_index(tmp_path, big_toy):
     env = semecs_sign(recovered, b"released after recovery")
     released.append(env.j)
     assert released == [1]
+
+
+_RACE_SIGNS = 100
+
+
+def _race_signer(path, tag, barrier, results):
+    """Open-sign-persist ``_RACE_SIGNS`` times; report (j, e, s) of each release."""
+    barrier.wait(timeout=60)
+    released, lost = [], 0
+    for i in range(_RACE_SIGNS):
+        signer = open_semecs_signer(path)
+        try:
+            env = semecs_sign(signer, b"%s message %d" % (tag, i))
+        except StatePersistFailure:
+            lost += 1  # the other process won this index
+            continue
+        released.append((env.j, envelope_challenge(signer.params, env), env.s))
+    results.put((released, lost))
+
+
+def test_two_processes_never_release_one_index(tmp_path):
+    y = 0x5EC5
+    state, _ = semecs_keygen_from_secret(PRODUCTION_GROUP, 2 * _RACE_SIGNS + 8, y=y)
+    path = tmp_path / "shared.sk"
+    save_state(path, keystore.record_from_semecs_state(state))
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    results = ctx.Queue()
+    workers = [
+        ctx.Process(target=_race_signer, args=(os.fspath(path), tag, barrier, results))
+        for tag in (b"a", b"b")
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        outcomes = [results.get(timeout=120) for _ in workers]
+    finally:
+        for worker in workers:
+            worker.join(timeout=30)
+            if worker.is_alive():
+                worker.terminate()
+    assert [worker.exitcode for worker in workers] == [0, 0]
+
+    released = [row for rows, _ in outcomes for row in rows]
+    first_use = {}
+    reused = []
+    for j, e, s in released:
+        if j in first_use:
+            # a reused index hands the private key to anyone holding both envelopes
+            recovered = extract_private_key(PRODUCTION_GROUP, first_use[j], (e, s))
+            reused.append((j, recovered == y))
+        first_use[j] = (e, s)
+    assert not reused, f"indices released twice (index, key extracted): {reused}"
+    assert load_state(path).j == len(released)
+    assert len(released) + sum(lost for _, lost in outcomes) == 2 * _RACE_SIGNS
 
 
 # --- search index ------------------------------------------------------------

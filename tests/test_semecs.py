@@ -87,6 +87,16 @@ def test_keygen_transcript_matches_oracle():
     assert pk.betas == (b"\x01", b"\x02")
 
 
+def test_production_keygen_matches_oracle():
+    # R_j = alpha^r_j comes from the fixed-base table; the oracle uses raw pow
+    y = 0x1D6E_51F0_0DD5_EED5
+    _, pk = semecs_keygen_from_secret(PRODUCTION_GROUP, 16, y=y)
+    expected = semecs_keygen_transcript(PRODUCTION_GROUP, y, 16)
+    assert pk.Y == expected["Y"]
+    assert list(pk.gammas) == [row["gamma"] for row in expected["rows"]]
+    assert list(pk.betas) == [row["beta"] for row in expected["rows"]]
+
+
 def test_keygen_is_deterministic_in_y(big_toy):
     _, pk1 = semecs_keygen_from_secret(big_toy, 8, y=1234)
     _, pk2 = semecs_keygen_from_secret(big_toy, 8, y=1234)
@@ -204,6 +214,17 @@ def test_round_trip_recovery_across_lengths(length, rng):
         ok, recovered = semecs_verify_indexed(pk, env)
         assert ok and recovered == msg
         state.j -= 1  # reuse the index deliberately; this is a verification test
+
+
+def test_verify_counts_one_double_exp_and_no_exp():
+    state, pk = semecs_keygen_from_secret(PRODUCTION_GROUP, 2, y=0xA11CE)
+    env = semecs_sign(state, b"counted verification")
+    with count_group_ops() as ops:
+        assert semecs_verify_indexed(pk, env)[0]
+    assert (ops.exp_count, ops.double_exp_count, ops.mul_count) == (0, 1, 0)
+    with count_group_ops() as ops:
+        assert semecs_verify_search(pk, env)[0]
+    assert (ops.exp_count, ops.double_exp_count, ops.mul_count) == (0, 1, 0)
 
 
 def test_verify_rejects_out_of_range_index(big_toy):
