@@ -61,7 +61,6 @@ from .group import (
 from .keystore import (
     SignerStateRecord,
     advance_counter,
-    build_search_index,
     load_state,
     open_semecs_signer,
     save_state,
@@ -76,9 +75,9 @@ from .schnorr import (
 from .semecs import (
     SearchIndex,
     SemecsPublicKey,
-    SemecsSignature,
     SemecsSigningState,
     SignedEnvelope,
+    build_search_index,
     envelope_challenge,
     envelope_overhead,
     extract_private_key,

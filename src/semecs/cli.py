@@ -20,15 +20,10 @@ from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
 from .errors import (
     CorruptState,
-    DuplicateBeta,
     EmptyMessage,
     IoFailure,
-    KeyExhausted,
     MalformedEncoding,
-    RngFailure,
     SemecsError,
-    StaleState,
-    StatePersistFailure,
     UnsupportedCombo,
 )
 from .group import PRODUCTION_GROUP, GroupParams, generate_toy_group
@@ -76,22 +71,19 @@ def _cmd_keygen(args, parser) -> int:
         kp = schnorr_mod.schnorr_keygen(params)
         sk_record = keystore.record_from_schnorr_key(kp)
         pk_record = keystore.record_from_schnorr_public(params, kp.Y)
-        capacity = None
     elif args.scheme == "eta":
         state, pk = eta_mod.eta_keygen(params, args.K)
         sk_record = keystore.record_from_eta_state(state)
         pk_record = keystore.record_from_eta_public(pk)
-        capacity = args.K
     else:
         state, pk = semecs_mod.semecs_keygen(params, args.K)
         sk_record = keystore.record_from_semecs_state(state)
         pk_record = keystore.record_from_semecs_public(pk)
-        capacity = args.K
     elapsed = time.perf_counter() - started
     sk_path, pk_path = prefix + ".sk", prefix + ".pk"
     keystore.save_state(sk_path, sk_record)
     keystore.save_state(pk_path, pk_record)
-    _log(f"scheme: {args.scheme}  group: {args.group}  K: {capacity or '-'}")
+    _log(f"scheme: {args.scheme}  group: {args.group}  K: {args.K or '-'}")
     _log(f"wrote {sk_path} ({os.path.getsize(sk_path)} octets)")
     _log(f"wrote {pk_path} ({os.path.getsize(pk_path)} octets)")
     _log(f"keygen wall time: {elapsed:.3f} s")
@@ -117,23 +109,19 @@ def _cmd_sign(args, parser) -> int:
         sig = schnorr_mod.schnorr_sign(kp, message)
         blob = schnorr_mod.encode_signed_message(params, sig, message)
         index_note = "index: - (full-time scheme)"
-        overhead = len(blob) - len(message)
     elif record.scheme_tag == keystore.SCHEME_ETA:
         state = keystore.eta_state_from_record(record)
-        previous_j = state.j
         sig = eta_mod.eta_sign(state, message)
         new_payload = keystore.record_from_eta_state(state).payload
         # durable advance before the envelope exists anywhere
-        keystore.advance_counter(sk_path, previous_j, new_payload=new_payload)
+        keystore.advance_counter(sk_path, sig.j, new_payload=new_payload)
         blob = eta_mod.encode_signed_message(params, sig, message)
         index_note = f"index: {sig.j} of K={state.K}"
-        overhead = len(blob) - len(message)
     else:
         state = keystore.open_semecs_signer(sk_path)
         envelope = semecs_mod.semecs_sign(state, message)
         blob = envelope.to_bytes(params)
         index_note = f"index: {envelope.j} of K={state.K}"
-        overhead = semecs_mod.envelope_overhead(params, envelope, len(message))
 
     try:
         with open(args.out, "wb") as fh:
@@ -141,6 +129,7 @@ def _cmd_sign(args, parser) -> int:
     except OSError as exc:
         raise IoFailure(f"cannot write envelope: {exc}") from exc
     _log(index_note)
+    overhead = len(blob) - len(message)
     _log(f"envelope: {len(blob)} octets, cryptographic overhead: {overhead} octets")
     return EXIT_OK
 
@@ -159,18 +148,16 @@ def _cmd_verify(args, parser) -> int:
         _log(f"malformed input: {exc}")
         return EXIT_USAGE
     params = record.params
+    if args.no_index and record.scheme_tag != keystore.SCHEME_SEMECS:
+        parser.error("--no-index applies only to semecs keys")
 
     try:
         if record.scheme_tag == keystore.SCHEME_SCHNORR:
-            if args.no_index:
-                parser.error("--no-index applies only to semecs keys")
             big_y = keystore.schnorr_public_from_record(record)
             sig, message = schnorr_mod.decode_signed_message(params, blob)
             ok = schnorr_mod.schnorr_verify(params, big_y, message, sig)
             recovered = message if ok else None
         elif record.scheme_tag == keystore.SCHEME_ETA:
-            if args.no_index:
-                parser.error("--no-index applies only to semecs keys")
             pk = keystore.eta_public_from_record(record)
             sig, message = eta_mod.decode_signed_message(params, blob)
             ok = eta_mod.eta_verify(pk, message, sig)
@@ -267,18 +254,15 @@ def _cmd_energy_report(args, parser) -> int:
 
 
 def _emit_records(records, csv_path, json_path) -> None:
-    wrote = False
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
             bench_mod.write_csv(records, fh)
         _log(f"wrote {csv_path}")
-        wrote = True
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(bench_mod.to_json(records))
         _log(f"wrote {json_path}")
-        wrote = True
-    if not wrote:
+    if not (csv_path or json_path):
         sys.stdout.write(bench_mod.format_table(records))
 
 
@@ -355,17 +339,6 @@ def main(argv=None) -> int:
     except (EmptyMessage, UnsupportedCombo, MalformedEncoding) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
-    except (
-        KeyExhausted,
-        StaleState,
-        StatePersistFailure,
-        CorruptState,
-        IoFailure,
-        DuplicateBeta,
-        RngFailure,
-    ) as exc:
-        _log(f"error: {exc}")
-        return EXIT_STATE
     except SemecsError as exc:
         _log(f"error: {exc}")
         return EXIT_STATE

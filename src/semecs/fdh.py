@@ -8,8 +8,8 @@ then reduce mod q.  The double-width expansion keeps the modular bias below
 2^-bitlen(q).  A zero residue (never observed in practice) is handled by
 appending octet 0xFF and re-deriving, so outputs always land in [1, q-1].
 
-Default digest is BLAKE2s; the algorithm identifier is an explicit parameter
-so serialized test vectors pin it.
+The digest is fixed to BLAKE2s-256; no key or state record names a digest,
+so another one could not be told apart on load.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ class Fdh:
 
     q: int
     hash_id: int
-    algorithm: str = "blake2s"
 
     def __post_init__(self) -> None:
         if self.hash_id not in (0, 1):
             raise ValueError("hash_id selects H0 or H1")
         if self.q < 2:
             raise ValueError("q must be a prime >= 2")
-        hashlib.new(self.algorithm)  # fail fast on unknown digests
 
     @property
     def scalar_len(self) -> int:
@@ -40,7 +38,6 @@ class Fdh:
 
     def eval(self, message: bytes) -> int:
         """Deterministically hash an octet string into [1, q-1]."""
-        digest = _digest_fn(self.algorithm)
         prefix = bytes([self.hash_id])
         nbits = 2 * self.q.bit_length()
         nbytes = (nbits + 7) // 8
@@ -49,7 +46,7 @@ class Fdh:
             stream = b""
             block = 0
             while len(stream) < nbytes:
-                stream += digest(prefix + data + block.to_bytes(4, "big")).digest()
+                stream += hashlib.blake2s(prefix + data + block.to_bytes(4, "big")).digest()
                 block += 1
             value = int.from_bytes(stream[:nbytes], "big") >> (8 * nbytes - nbits)
             value %= self.q
@@ -63,14 +60,6 @@ class Fdh:
 
 
 @lru_cache(maxsize=32)
-def _digest_fn(algorithm: str):
-    fn = getattr(hashlib, algorithm, None)
-    if fn is not None:
-        return fn
-    return lambda data: hashlib.new(algorithm, data)
-
-
-@lru_cache(maxsize=32)
-def fdh_pair(q: int, algorithm: str = "blake2s") -> tuple[Fdh, Fdh]:
+def fdh_pair(q: int) -> tuple[Fdh, Fdh]:
     """The (H0, H1) pair for a given group order."""
-    return Fdh(q, 0, algorithm), Fdh(q, 1, algorithm)
+    return Fdh(q, 0), Fdh(q, 1)

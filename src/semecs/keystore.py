@@ -32,8 +32,15 @@ from typing import Optional
 from . import eta as eta_mod
 from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
-from .errors import CorruptState, DuplicateBeta, IoFailure, StaleState
-from .group import GroupParams, decode_element, decode_scalar, encode_element, encode_scalar
+from .errors import CorruptState, IoFailure, MalformedEncoding, StaleState
+from .group import (
+    PRODUCTION_GROUP,
+    GroupParams,
+    decode_element,
+    decode_scalar,
+    encode_element,
+    encode_scalar,
+)
 
 MAGIC = b"SMKS"
 VERSION = 1
@@ -52,11 +59,6 @@ ROLE_STATE = 0x03
 ROLE_NAMES = {ROLE_SECRET: "secret", ROLE_PUBLIC: "public", ROLE_STATE: "state"}
 
 _TAG_LEN = 32
-
-# re-exported here because the sorted-beta index is part of key management
-SearchIndex = semecs_mod.SearchIndex
-build_search_index = semecs_mod.build_search_index
-
 
 @dataclass(frozen=True)
 class SignerStateRecord:
@@ -139,6 +141,10 @@ def parse_record(data: bytes) -> SignerStateRecord:
     p = rd.take_len16_int()
     q = rd.take_len16_int()
     alpha = rd.take_len16_int()
+    # GroupParams checks alpha^q = 1 with a pow whose cost grows with p;
+    # only toy groups and the 256-bit production group are ever written
+    if p.bit_length() > PRODUCTION_GROUP.p.bit_length():
+        raise CorruptState(f"group modulus of {p.bit_length()} bits is too wide")
     try:
         params = GroupParams(p=p, q=q, alpha=alpha)
     except ValueError as exc:
@@ -253,135 +259,121 @@ def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) 
 # Scheme objects <-> records
 # ---------------------------------------------------------------------------
 
+def _record(
+    tag: int, role: int, params: GroupParams, payload: bytes, j: int = 0, K: int = 0
+) -> SignerStateRecord:
+    return SignerStateRecord(tag, group_id_for(params), role, params, j, K, payload)
+
+
+def _payload(record: SignerStateRecord, tag: int, role: int, size: int) -> bytes:
+    """The payload of a ``tag``/``role`` record, which must be ``size`` octets."""
+    if record.scheme_tag != tag or record.role != role:
+        raise CorruptState(
+            f"expected {SCHEME_NAMES[tag]}/{ROLE_NAMES[role]} record, found "
+            f"{SCHEME_NAMES.get(record.scheme_tag, '?')}/{ROLE_NAMES.get(record.role, '?')}"
+        )
+    if len(record.payload) != size:
+        raise CorruptState(
+            f"{SCHEME_NAMES[tag]} {ROLE_NAMES[role]} payload must be {size} octets, "
+            f"got {len(record.payload)}"
+        )
+    return record.payload
+
+
+def _element(params: GroupParams, blob: bytes) -> int:
+    try:
+        return decode_element(params, blob)
+    except MalformedEncoding as exc:
+        raise CorruptState(f"bad public key payload: {exc}") from exc
+
+
+def _secret(params: GroupParams, blob: bytes) -> int:
+    try:
+        value = decode_scalar(params, blob)
+    except MalformedEncoding as exc:
+        raise CorruptState(f"bad secret payload: {exc}") from exc
+    if value == 0:
+        raise CorruptState("bad secret payload: secret scalar is zero")
+    return value
+
+
 def record_from_schnorr_key(kp: schnorr_mod.SchnorrKeyPair) -> SignerStateRecord:
-    return SignerStateRecord(
-        scheme_tag=SCHEME_SCHNORR,
-        group_id=group_id_for(kp.params),
-        role=ROLE_SECRET,
-        params=kp.params,
-        j=0,
-        K=0,
-        payload=encode_scalar(kp.params, kp.y),
-    )
+    return _record(SCHEME_SCHNORR, ROLE_SECRET, kp.params, encode_scalar(kp.params, kp.y))
 
 
 def schnorr_key_from_record(record: SignerStateRecord) -> schnorr_mod.SchnorrKeyPair:
-    _expect(record, SCHEME_SCHNORR, ROLE_SECRET)
-    y = _decode_payload_scalar(record, record.payload)
-    return schnorr_mod.SchnorrKeyPair.from_private(record.params, y)
+    params = record.params
+    payload = _payload(record, SCHEME_SCHNORR, ROLE_SECRET, params.scalar_len)
+    return schnorr_mod.SchnorrKeyPair.from_private(params, _secret(params, payload))
 
 
 def record_from_schnorr_public(
     params: GroupParams, big_y: int
 ) -> SignerStateRecord:
-    return SignerStateRecord(
-        scheme_tag=SCHEME_SCHNORR,
-        group_id=group_id_for(params),
-        role=ROLE_PUBLIC,
-        params=params,
-        j=0,
-        K=0,
-        payload=encode_element(params, big_y),
-    )
+    return _record(SCHEME_SCHNORR, ROLE_PUBLIC, params, encode_element(params, big_y))
 
 
 def schnorr_public_from_record(record: SignerStateRecord) -> int:
-    _expect(record, SCHEME_SCHNORR, ROLE_PUBLIC)
-    try:
-        return decode_element(record.params, record.payload)
-    except Exception as exc:
-        raise CorruptState(f"bad public key payload: {exc}") from exc
+    params = record.params
+    return _element(
+        params, _payload(record, SCHEME_SCHNORR, ROLE_PUBLIC, params.element_len)
+    )
 
 
 def record_from_eta_state(state: eta_mod.EtaSigningState) -> SignerStateRecord:
     payload = encode_scalar(state.params, state.y) + encode_scalar(
         state.params, state.r_cur
     )
-    return SignerStateRecord(
-        scheme_tag=SCHEME_ETA,
-        group_id=group_id_for(state.params),
-        role=ROLE_STATE,
-        params=state.params,
-        j=state.j,
-        K=state.K,
-        payload=payload,
-    )
+    return _record(SCHEME_ETA, ROLE_STATE, state.params, payload, state.j, state.K)
 
 
 def eta_state_from_record(record: SignerStateRecord) -> eta_mod.EtaSigningState:
-    _expect(record, SCHEME_ETA, ROLE_STATE)
-    L = record.params.scalar_len
-    if len(record.payload) != 2 * L:
-        raise CorruptState("ETA state payload must hold y and the chain value")
-    y = _decode_payload_scalar(record, record.payload[:L])
-    r_cur = _decode_payload_scalar(record, record.payload[L:])
+    params = record.params
+    L = params.scalar_len
+    payload = _payload(record, SCHEME_ETA, ROLE_STATE, 2 * L)
     return eta_mod.EtaSigningState(
-        params=record.params, y=y, r_cur=r_cur, j=record.j, K=record.K
+        params=params,
+        y=_secret(params, payload[:L]),
+        r_cur=_secret(params, payload[L:]),
+        j=record.j,
+        K=record.K,
     )
 
 
 def record_from_eta_public(pk: eta_mod.EtaPublicKey) -> SignerStateRecord:
-    return SignerStateRecord(
-        scheme_tag=SCHEME_ETA,
-        group_id=group_id_for(pk.params),
-        role=ROLE_PUBLIC,
-        params=pk.params,
-        j=0,
-        K=pk.K,
-        payload=encode_element(pk.params, pk.Y) + b"".join(pk.tokens),
-    )
+    payload = encode_element(pk.params, pk.Y) + b"".join(pk.tokens)
+    return _record(SCHEME_ETA, ROLE_PUBLIC, pk.params, payload, K=pk.K)
 
 
 def eta_public_from_record(record: SignerStateRecord) -> eta_mod.EtaPublicKey:
-    _expect(record, SCHEME_ETA, ROLE_PUBLIC)
     params = record.params
-    L = params.scalar_len
-    elen = params.element_len
-    if len(record.payload) != elen + record.K * L:
-        raise CorruptState("ETA public payload has the wrong size")
-    try:
-        big_y = decode_element(params, record.payload[:elen])
-    except Exception as exc:
-        raise CorruptState(f"bad public key payload: {exc}") from exc
-    tokens = tuple(
-        record.payload[elen + i * L : elen + (i + 1) * L] for i in range(record.K)
+    L, elen = params.scalar_len, params.element_len
+    payload = _payload(record, SCHEME_ETA, ROLE_PUBLIC, elen + record.K * L)
+    tokens = tuple(payload[off : off + L] for off in range(elen, len(payload), L))
+    return eta_mod.EtaPublicKey(
+        params=params, Y=_element(params, payload[:elen]), tokens=tokens, K=record.K
     )
-    return eta_mod.EtaPublicKey(params=params, Y=big_y, tokens=tokens, K=record.K)
 
 
 def record_from_semecs_state(state: semecs_mod.SemecsSigningState) -> SignerStateRecord:
-    return SignerStateRecord(
-        scheme_tag=SCHEME_SEMECS,
-        group_id=group_id_for(state.params),
-        role=ROLE_STATE,
-        params=state.params,
-        j=state.j,
-        K=state.K,
-        payload=encode_scalar(state.params, state.y),
-    )
+    payload = encode_scalar(state.params, state.y)
+    return _record(SCHEME_SEMECS, ROLE_STATE, state.params, payload, state.j, state.K)
 
 
 def semecs_state_from_record(
     record: SignerStateRecord, persist=None
 ) -> semecs_mod.SemecsSigningState:
-    _expect(record, SCHEME_SEMECS, ROLE_STATE)
-    y = _decode_payload_scalar(record, record.payload)
+    params = record.params
+    payload = _payload(record, SCHEME_SEMECS, ROLE_STATE, params.scalar_len)
     return semecs_mod.SemecsSigningState(
-        params=record.params, y=y, j=record.j, K=record.K, persist=persist
+        params=params, y=_secret(params, payload), j=record.j, K=record.K, persist=persist
     )
 
 
 def record_from_semecs_public(pk: semecs_mod.SemecsPublicKey) -> SignerStateRecord:
     tokens = b"".join(g + b for g, b in zip(pk.gammas, pk.betas))
-    return SignerStateRecord(
-        scheme_tag=SCHEME_SEMECS,
-        group_id=group_id_for(pk.params),
-        role=ROLE_PUBLIC,
-        params=pk.params,
-        j=0,
-        K=pk.K,
-        payload=encode_element(pk.params, pk.Y) + tokens,
-    )
+    payload = encode_element(pk.params, pk.Y) + tokens
+    return _record(SCHEME_SEMECS, ROLE_PUBLIC, pk.params, payload, K=pk.K)
 
 
 def semecs_public_from_record(
@@ -392,35 +384,16 @@ def semecs_public_from_record(
     Rebuilding is deterministic over identical beta values, so the index
     round-trips stably through serialization.
     """
-    _expect(record, SCHEME_SEMECS, ROLE_PUBLIC)
     params = record.params
-    L = params.scalar_len
-    elen = params.element_len
-    if len(record.payload) != elen + 2 * record.K * L:
-        raise CorruptState("SEMECS public payload has the wrong size")
-    try:
-        big_y = decode_element(params, record.payload[:elen])
-    except Exception as exc:
-        raise CorruptState(f"bad public key payload: {exc}") from exc
-    gammas = []
-    betas = []
-    for i in range(record.K):
-        off = elen + 2 * i * L
-        gammas.append(record.payload[off : off + L])
-        betas.append(record.payload[off + L : off + 2 * L])
-    try:
-        index = build_search_index(betas)
-    except DuplicateBeta:
-        if require_index:
-            raise
-        index = None
-    return semecs_mod.SemecsPublicKey(
-        params=params,
-        Y=big_y,
-        gammas=tuple(gammas),
-        betas=tuple(betas),
-        K=record.K,
-        search_index=index,
+    L, elen = params.scalar_len, params.element_len
+    payload = _payload(record, SCHEME_SEMECS, ROLE_PUBLIC, elen + 2 * record.K * L)
+    offsets = range(elen, len(payload), 2 * L)
+    return semecs_mod.SemecsPublicKey.from_tokens(
+        params,
+        _element(params, payload[:elen]),
+        [payload[off : off + L] for off in offsets],
+        [payload[off + L : off + 2 * L] for off in offsets],
+        require_index=require_index,
     )
 
 
@@ -430,18 +403,3 @@ def open_semecs_signer(path) -> semecs_mod.SemecsSigningState:
     return semecs_state_from_record(
         record, persist=lambda j, _p=os.fspath(path): advance_counter(_p, j)
     )
-
-
-def _expect(record: SignerStateRecord, scheme_tag: int, role: int) -> None:
-    if record.scheme_tag != scheme_tag or record.role != role:
-        raise CorruptState(
-            f"expected {SCHEME_NAMES[scheme_tag]}/{ROLE_NAMES[role]} record, found "
-            f"{SCHEME_NAMES.get(record.scheme_tag, '?')}/{ROLE_NAMES.get(record.role, '?')}"
-        )
-
-
-def _decode_payload_scalar(record: SignerStateRecord, blob: bytes) -> int:
-    try:
-        return decode_scalar(record.params, blob)
-    except Exception as exc:
-        raise CorruptState(f"bad secret payload: {exc}") from exc

@@ -26,7 +26,7 @@ is released (see :mod:`semecs.keystore`).
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
@@ -171,11 +171,22 @@ class SemecsPublicKey:
     K: int
     search_index: Optional[SearchIndex]
 
+    @classmethod
+    def from_tokens(
+        cls, params: GroupParams, big_y: int, gammas, betas, require_index: bool = True
+    ) -> "SemecsPublicKey":
+        """The public key over these tokens, with its search index built.
 
-@dataclass(frozen=True)
-class SemecsSignature:
-    s: int
-    c: bytes
+        With ``require_index=False`` a beta collision yields a key without a
+        search index (indexed verification still works) instead of raising.
+        """
+        try:
+            index = build_search_index(betas)
+        except DuplicateBeta:
+            if require_index:
+                raise
+            index = None
+        return cls(params, big_y, tuple(gammas), tuple(betas), len(betas), index)
 
 
 @dataclass(frozen=True)
@@ -188,10 +199,6 @@ class SignedEnvelope:
     c: bytes
     m_tilde: bytes
     version: int = ENVELOPE_VERSION
-
-    @property
-    def signature(self) -> "SemecsSignature":
-        return SemecsSignature(s=self.s, c=self.c)
 
     def to_bytes(self, params: GroupParams) -> bytes:
         return (
@@ -235,11 +242,10 @@ def semecs_keygen_from_secret(
 ) -> tuple[SemecsSigningState, SemecsPublicKey]:
     """Deterministic key generation from the private scalar y.
 
-    Re-running with the same y reproduces a byte-identical public key.  With
-    ``require_index=False`` a beta collision yields a key without a search
-    index (indexed verification still works) instead of raising; only tiny toy
-    groups, where scalar_len-octet tokens can collide by pigeonhole, need
-    this escape hatch.
+    Re-running with the same y reproduces a byte-identical public key.
+    ``require_index=False`` is passed to :meth:`SemecsPublicKey.from_tokens`;
+    only tiny toy groups, where scalar_len-octet tokens can collide by
+    pigeonhole, need this escape hatch.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -259,22 +265,8 @@ def semecs_keygen_from_secret(
         token_preimage = encode_element(params, big_r)
         gammas.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))
         betas.append(h1.eval_encoded(token_preimage))
-    try:
-        index = build_search_index(betas)
-    except DuplicateBeta:
-        if require_index:
-            raise
-        index = None
-    state = SemecsSigningState(params=params, y=y, j=0, K=K)
-    pk = SemecsPublicKey(
-        params=params,
-        Y=big_y,
-        gammas=tuple(gammas),
-        betas=tuple(betas),
-        K=K,
-        search_index=index,
-    )
-    return state, pk
+    pk = SemecsPublicKey.from_tokens(params, big_y, gammas, betas, require_index)
+    return SemecsSigningState(params=params, y=y, j=0, K=K), pk
 
 
 def semecs_keygen(
@@ -456,8 +448,3 @@ def envelope_overhead(
             raise ValueError("message_len is required for padded envelopes")
         message_len = params.scalar_len + len(env.m_tilde)
     return total - message_len
-
-
-def replace_index(env: SignedEnvelope, j: int) -> SignedEnvelope:
-    """Copy of an envelope with a different index (test/tooling helper)."""
-    return replace(env, j=j)

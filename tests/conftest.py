@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from semecs import keystore
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, generate_toy_group
 
 
@@ -25,3 +26,19 @@ def toy():
 @pytest.fixture(scope="session")
 def prod():
     return PRODUCTION_GROUP
+
+
+@pytest.fixture(params=["schnorr_y", "eta_y", "eta_r_cur", "semecs_y"])
+def zero_secret_record(request):
+    """A production-group secret record whose one named scalar is 0."""
+    L = PRODUCTION_GROUP.scalar_len
+    zero, one = bytes(L), (1).to_bytes(L, "big")
+    scheme, role, K, payload = {
+        "schnorr_y": (keystore.SCHEME_SCHNORR, keystore.ROLE_SECRET, 0, zero),
+        "eta_y": (keystore.SCHEME_ETA, keystore.ROLE_STATE, 2, zero + one),
+        "eta_r_cur": (keystore.SCHEME_ETA, keystore.ROLE_STATE, 2, one + zero),
+        "semecs_y": (keystore.SCHEME_SEMECS, keystore.ROLE_STATE, 2, zero),
+    }[request.param]
+    return keystore.SignerStateRecord(
+        scheme, keystore.GROUP_PRODUCTION, role, PRODUCTION_GROUP, 0, K, payload
+    )

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from semecs import keystore
@@ -156,6 +159,49 @@ def test_inspect_shows_metadata_only(tmp_path, capsys):
     assert "scheme: semecs" in out and "role: state" in out
     assert "j: 0" in out and "K: 2" in out
     assert record.payload.hex() not in out  # never the secret itself
+
+
+def test_sign_with_zero_secret_is_a_state_error(tmp_path, msgfile, capsys,
+                                                zero_secret_record):
+    sk = tmp_path / "zero.sk"
+    keystore.save_state(sk, zero_secret_record)
+    env = tmp_path / "m.env"
+    assert main(["sign", "--sk", str(sk), "--in", str(msgfile), "--out", str(env)]) == 3
+    assert not env.exists()
+    assert "secret scalar is zero" in capsys.readouterr().err
+
+
+def _retag(record_bytes: bytes, scheme_tag: int) -> bytes:
+    body = bytearray(record_bytes[:-32])
+    body[5] = scheme_tag  # a valid integrity tag over the wrong scheme
+    return bytes(body) + hashlib.blake2s(bytes(body)).digest()
+
+
+@pytest.mark.parametrize("scheme,K", [("schnorr", None), ("eta", 3), ("semecs", 3)])
+def test_corrupted_files_are_usage_or_state_errors(tmp_path, msgfile, capsys, scheme, K):
+    prefix = _keygen(tmp_path, scheme=scheme, K=K)
+    sk, pk, env = Path(f"{prefix}.sk"), Path(f"{prefix}.pk"), tmp_path / "m.env"
+    assert main(["sign", "--sk", str(sk), "--in", str(msgfile), "--out", str(env)]) == 0
+    other = {"schnorr": keystore.SCHEME_ETA, "eta": keystore.SCHEME_SEMECS,
+             "semecs": keystore.SCHEME_SCHNORR}[scheme]
+    for path in (sk, pk, env):
+        data = path.read_bytes()
+        if path is env:  # header damage; a flip inside the signature is exit 1
+            corrupted = (data[:5], bytes([data[0] ^ 0x80]) + data[1:], b"\x02" + data[1:])
+        else:
+            mid = len(data) // 2
+            flipped = data[:mid] + bytes([data[mid] ^ 0x10]) + data[mid + 1 :]
+            corrupted = (data[:mid], flipped, _retag(data, other))
+        for blob in corrupted:
+            path.write_bytes(blob)
+            if path is sk:
+                argv = ["sign", "--sk", str(sk), "--in", str(msgfile),
+                        "--out", str(tmp_path / "x.env")]
+            else:
+                argv = ["verify", "--pk", str(pk), "--env", str(env)]
+            assert main(argv) in (2, 3), (path.name, blob[:8])
+        path.write_bytes(data)
+    capsys.readouterr()
 
 
 def test_inspect_corrupt_file(tmp_path, capsys):

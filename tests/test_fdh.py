@@ -91,12 +91,3 @@ def test_parameter_validation():
         Fdh(q=11, hash_id=2)
     with pytest.raises(ValueError):
         Fdh(q=1, hash_id=0)
-    with pytest.raises(ValueError):
-        Fdh(q=11, hash_id=0, algorithm="not-a-digest")
-
-
-def test_algorithm_identifier_is_binding():
-    blake = Fdh(q=TOY_GROUP.q, hash_id=0)
-    sha = Fdh(q=TOY_GROUP.q, hash_id=0, algorithm="sha256")
-    assert blake.eval(b"abc") == oracle_fdh(TOY_GROUP.q, 0, b"abc", "blake2s")
-    assert sha.eval(b"abc") == oracle_fdh(TOY_GROUP.q, 0, b"abc", "sha256")

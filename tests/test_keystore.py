@@ -2,17 +2,17 @@ import hashlib
 import multiprocessing
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
 from semecs import keystore
 from semecs.errors import CorruptState, DuplicateBeta, StaleState, StatePersistFailure
 from semecs.eta import eta_keygen
-from semecs.group import PRODUCTION_GROUP, TOY_GROUP, generate_toy_group
+from semecs.group import PRODUCTION_GROUP, TOY_GROUP, GroupParams, generate_toy_group
 from semecs.keystore import (
     SignerStateRecord,
     advance_counter,
-    build_search_index,
     load_state,
     open_semecs_signer,
     parse_record,
@@ -21,6 +21,7 @@ from semecs.keystore import (
 )
 from semecs.schnorr import schnorr_keygen
 from semecs.semecs import (
+    build_search_index,
     envelope_challenge,
     extract_private_key,
     semecs_keygen,
@@ -121,6 +122,28 @@ def test_unknown_tags_rejected():
     forged = bytes(body) + hashlib.blake2s(bytes(body)).digest()
     with pytest.raises(CorruptState):
         parse_record(forged)
+
+
+def test_modulus_wider_than_production_is_corrupt():
+    # GroupParams accepts this group; the loader must refuse it before its
+    # alpha^q check, whose pow on a wide modulus can stall for seconds
+    p = (1 << 1024) + 1
+    record, _, _ = _semecs_record()
+    wide = replace(record, params=GroupParams(p=p, q=2, alpha=p - 1))
+    with pytest.raises(CorruptState):
+        parse_record(serialize_record(wide))
+
+
+_SECRET_LOADERS = {
+    keystore.SCHEME_SCHNORR: keystore.schnorr_key_from_record,
+    keystore.SCHEME_ETA: keystore.eta_state_from_record,
+    keystore.SCHEME_SEMECS: keystore.semecs_state_from_record,
+}
+
+
+def test_zero_secret_scalar_is_corrupt(zero_secret_record):
+    with pytest.raises(CorruptState):
+        _SECRET_LOADERS[zero_secret_record.scheme_tag](zero_secret_record)
 
 
 def test_scheme_role_mismatch_raises():
@@ -320,7 +343,7 @@ def test_two_processes_never_release_one_index(tmp_path):
 
 # --- search index ------------------------------------------------------------
 
-def test_build_search_index_is_exported_here():
+def test_build_search_index_orders_and_rejects_duplicates():
     index = build_search_index([b"\x03", b"\x01", b"\x02"])
     assert index.order == (1, 2, 0)
     with pytest.raises(DuplicateBeta):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from semecs.errors import (
@@ -18,7 +20,6 @@ from semecs.semecs import (
     envelope_overhead,
     extract_private_key,
     join_message,
-    replace_index,
     semecs_keygen,
     semecs_keygen_from_secret,
     semecs_sign,
@@ -230,8 +231,8 @@ def test_verify_counts_one_double_exp_and_no_exp():
 def test_verify_rejects_out_of_range_index(big_toy):
     state, pk = semecs_keygen_from_secret(big_toy, 4, y=13)
     env = semecs_sign(state, b"range check")
-    assert semecs_verify_indexed(pk, replace_index(env, 4)) == (False, None)
-    assert semecs_verify_indexed(pk, replace_index(env, -1)) == (False, None)
+    assert semecs_verify_indexed(pk, replace(env, j=4)) == (False, None)
+    assert semecs_verify_indexed(pk, replace(env, j=-1)) == (False, None)
 
 
 def test_verify_rejects_wrong_c_length(big_toy):
@@ -277,7 +278,7 @@ def test_search_recovers_the_index(big_toy, rng):
         msg = b"searchable payload " + bytes([j])
         env = semecs_sign(state, msg)
         # the search path never reads env.j
-        ok, found, recovered = semecs_verify_search(pk, replace_index(env, 9999))
+        ok, found, recovered = semecs_verify_search(pk, replace(env, j=9999))
         assert ok and found == j and recovered == msg
 
 
