@@ -16,7 +16,7 @@ from semecs import (
     semecs_verify_search,
 )
 from semecs.keystore import record_from_semecs_public, record_from_semecs_state
-from semecs.semecs import ENVELOPE_HEADER_LEN, envelope_overhead
+from semecs.semecs import ENVELOPE_HEADER_LEN
 
 K = 256
 params = PRODUCTION_GROUP
@@ -40,7 +40,7 @@ print(f"\nsign: {sign_time * 1e6:.1f} us, group operations: {ops.total()}")
 blob = env.to_bytes(params)
 print(
     f"envelope: {len(blob)} octets for a {len(message)}-octet message "
-    f"(overhead {envelope_overhead(params, env)} = 32 + {ENVELOPE_HEADER_LEN} header)"
+    f"(overhead {len(blob) - len(message)} = 32 + {ENVELOPE_HEADER_LEN} header)"
 )
 
 with count_group_ops() as ops:

@@ -79,7 +79,6 @@ from .semecs import (
     SignedEnvelope,
     build_search_index,
     envelope_challenge,
-    envelope_overhead,
     extract_private_key,
     join_message,
     semecs_keygen,

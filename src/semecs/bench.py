@@ -12,42 +12,26 @@ built in.  Cycle counts measured on that hardware reproduce the reference
 energy figures exactly; wall times measured here yield platform-specific
 estimates instead.
 
-CSV schema v1 (also mirrored to JSON):
-    scheme, operation, iters, median_ns, p10_ns, p90_ns,
-    exp_ops, double_exp_ops, tx_bytes, compute_mJ, comm_uJ
+CSV schema v1 (also mirrored to JSON): one column per ``BenchRecord`` field,
+in declaration order.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Optional, get_type_hints
 
 from . import eta as eta_mod
 from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
-from .errors import UnsupportedCombo
+from .errors import MalformedEncoding, UnsupportedCombo
 from .group import GroupParams, OpCounter, count_group_ops, random_scalar
 
 CSV_SCHEMA_VERSION = 1
-CSV_COLUMNS = (
-    "scheme",
-    "operation",
-    "iters",
-    "median_ns",
-    "p10_ns",
-    "p90_ns",
-    "exp_ops",
-    "double_exp_ops",
-    "tx_bytes",
-    "compute_mJ",
-    "comm_uJ",
-)
-
 SCHEMES = ("schnorr", "eta", "semecs")
 OPERATIONS = ("keygen", "sign", "verify")
 
@@ -159,18 +143,12 @@ class BenchRecord:
     comm_uJ: Optional[float] = None
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+
+
 def _percentile(sorted_values, fraction: float) -> float:
     idx = min(len(sorted_values) - 1, max(0, round(fraction * (len(sorted_values) - 1))))
     return float(sorted_values[idx])
-
-
-def _signature_overhead(scheme: str, params: GroupParams) -> int:
-    L = params.scalar_len
-    if scheme == "schnorr":
-        return 1 + 2 * L  # version + s + e
-    if scheme == "eta":
-        return 1 + eta_mod.INDEX_LEN + L + eta_mod.X_LEN
-    return semecs_mod.ENVELOPE_HEADER_LEN + L  # header + s; c carries payload
 
 
 def run_bench(
@@ -184,8 +162,10 @@ def run_bench(
 ) -> BenchRecord:
     """Time one (scheme, operation) combination and count its group ops.
 
-    Sign benchmarks get a fresh capacity-(warmup+iterations) key so state
-    advances honestly; verify benchmarks re-verify one honest envelope.
+    Each scheme's key and one signature are made first: the signature's
+    encoding gives ``tx_bytes``, verify benchmarks re-verify it, and the
+    K-time keys have capacity warmup + iterations + 1 so signing state
+    advances honestly.
     """
     if scheme not in SCHEMES or operation not in OPERATIONS:
         raise UnsupportedCombo(f"no benchmark for {scheme}/{operation}")
@@ -194,53 +174,52 @@ def run_bench(
     if warmup is None:
         warmup = min(32, iterations)
 
+    # 64 octets: longer than any group's scalar, so no envelope pads it
     message = b"bench message payload: " + b"\xa5" * 41
-    tx_bytes = 0 if operation == "keygen" else _signature_overhead(scheme, params)
     total = warmup + iterations
 
     if scheme == "schnorr":
         kp = schnorr_mod.schnorr_keygen(params, rng)
-        if operation == "keygen":
-            work = lambda i: schnorr_mod.schnorr_keygen(params, rng)
-        elif operation == "sign":
-            work = lambda i: schnorr_mod.schnorr_sign(kp, message, rng)
-        else:
-            sig = schnorr_mod.schnorr_sign(kp, message, rng)
-            work = lambda i: schnorr_mod.schnorr_verify(params, kp.Y, message, sig)
+        sig = schnorr_mod.schnorr_sign(kp, message, rng)
+        blob = schnorr_mod.encode_signed_message(params, sig, message)
+        work = {
+            "keygen": lambda: schnorr_mod.schnorr_keygen(params, rng),
+            "sign": lambda: schnorr_mod.schnorr_sign(kp, message, rng),
+            "verify": lambda: schnorr_mod.schnorr_verify(params, kp.Y, message, sig),
+        }[operation]
     elif scheme == "eta":
-        if operation == "keygen":
-            work = lambda i: eta_mod.eta_keygen(params, K, rng)
-        elif operation == "sign":
-            state, _ = eta_mod.eta_keygen(params, total, rng)
-            work = lambda i: eta_mod.eta_sign(state, message, rng)
-        else:
-            state, pk = eta_mod.eta_keygen(params, 1, rng)
-            sig = eta_mod.eta_sign(state, message, rng)
-            work = lambda i: eta_mod.eta_verify(pk, message, sig)
+        state, pk = eta_mod.eta_keygen(params, total + 1, rng)
+        sig = eta_mod.eta_sign(state, message, rng)
+        blob = eta_mod.encode_signed_message(params, sig, message)
+        work = {
+            "keygen": lambda: eta_mod.eta_keygen(params, K, rng),
+            "sign": lambda: eta_mod.eta_sign(state, message, rng),
+            "verify": lambda: eta_mod.eta_verify(pk, message, sig),
+        }[operation]
     else:
-        if operation == "keygen":
-            work = lambda i: semecs_mod.semecs_keygen(params, K, rng)
-        elif operation == "sign":
-            # the search index is irrelevant to signing; skip it so sign can
-            # be benched even on groups too small for `total` distinct betas
-            state, _ = semecs_mod.semecs_keygen_from_secret(
-                params, total, random_scalar(params, rng), require_index=False
-            )
-            work = lambda i: semecs_mod.semecs_sign(state, message)
-        else:
-            state, pk = semecs_mod.semecs_keygen(params, 1, rng)
-            env = semecs_mod.semecs_sign(state, message)
-            work = lambda i: semecs_mod.semecs_verify_indexed(pk, env)
+        # the search index is irrelevant here; skip it so sign can be
+        # benched even on groups too small for `total` distinct betas
+        state, pk = semecs_mod.semecs_keygen_from_secret(
+            params, total + 1, random_scalar(params, rng), require_index=False
+        )
+        env = semecs_mod.semecs_sign(state, message)
+        blob = env.to_bytes(params)
+        work = {
+            "keygen": lambda: semecs_mod.semecs_keygen(params, K, rng),
+            "sign": lambda: semecs_mod.semecs_sign(state, message),
+            "verify": lambda: semecs_mod.semecs_verify_indexed(pk, env),
+        }[operation]
+    tx_bytes = 0 if operation == "keygen" else len(blob) - len(message)
 
-    for i in range(warmup):
-        work(i)
+    for _ in range(warmup):
+        work()
 
     samples = []
     counter = OpCounter()
     with count_group_ops(counter):
-        for i in range(iterations):
+        for _ in range(iterations):
             t0 = time.perf_counter_ns()
-            work(i)
+            work()
             samples.append(time.perf_counter_ns() - t0)
 
     samples.sort()
@@ -272,39 +251,32 @@ def apply_energy(records, profile: EnergyProfile):
 # CSV / JSON emission
 # ---------------------------------------------------------------------------
 
-def _row(rec: BenchRecord) -> dict:
-    row = asdict(rec)
-    row["compute_mJ"] = "" if rec.compute_mJ is None else repr(rec.compute_mJ)
-    row["comm_uJ"] = "" if rec.comm_uJ is None else repr(rec.comm_uJ)
-    return row
-
-
 def write_csv(records, stream) -> None:
+    """One row per record; csv writes None as an empty field and floats by repr."""
     writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    for rec in records:
-        writer.writerow(_row(rec))
+    writer.writerows(asdict(rec) for rec in records)
+
+
+def _optional_float(text: str) -> Optional[float]:
+    return float(text) if text else None
+
+
+_PARSERS = {str: str, int: int, float: float, Optional[float]: _optional_float}
+_COLUMN_PARSERS = tuple(
+    (name, _PARSERS[hint]) for name, hint in get_type_hints(BenchRecord).items()
+)
 
 
 def read_csv(stream) -> list[BenchRecord]:
-    records = []
-    for row in csv.DictReader(stream):
-        records.append(
-            BenchRecord(
-                scheme=row["scheme"],
-                operation=row["operation"],
-                iters=int(row["iters"]),
-                median_ns=float(row["median_ns"]),
-                p10_ns=float(row["p10_ns"]),
-                p90_ns=float(row["p90_ns"]),
-                exp_ops=float(row["exp_ops"]),
-                double_exp_ops=float(row["double_exp_ops"]),
-                tx_bytes=int(row["tx_bytes"]),
-                compute_mJ=float(row["compute_mJ"]) if row["compute_mJ"] else None,
-                comm_uJ=float(row["comm_uJ"]) if row["comm_uJ"] else None,
-            )
-        )
-    return records
+    """Records from a ``write_csv`` stream; any other text is ``MalformedEncoding``."""
+    try:
+        return [
+            BenchRecord(**{name: parse(row[name]) for name, parse in _COLUMN_PARSERS})
+            for row in csv.DictReader(stream)
+        ]
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise MalformedEncoding(f"malformed bench CSV: {exc!r}") from exc
 
 
 def to_json(records) -> str:
@@ -313,9 +285,3 @@ def to_json(records) -> str:
         "records": [asdict(rec) for rec in records],
     }
     return json.dumps(payload, indent=2)
-
-
-def format_table(records) -> str:
-    stream = io.StringIO()
-    write_csv(records, stream)
-    return stream.getvalue()

@@ -144,14 +144,9 @@ def _cmd_verify(args, parser) -> int:
         record = keystore.load_state(pk_path)
         with open(args.env, "rb") as fh:
             blob = fh.read()
-    except (CorruptState, IoFailure, OSError) as exc:
-        _log(f"malformed input: {exc}")
-        return EXIT_USAGE
-    params = record.params
-    if args.no_index and record.scheme_tag != keystore.SCHEME_SEMECS:
-        parser.error("--no-index applies only to semecs keys")
-
-    try:
+        params = record.params
+        if args.no_index and record.scheme_tag != keystore.SCHEME_SEMECS:
+            parser.error("--no-index applies only to semecs keys")
         if record.scheme_tag == keystore.SCHEME_SCHNORR:
             big_y = keystore.schnorr_public_from_record(record)
             sig, message = schnorr_mod.decode_signed_message(params, blob)
@@ -174,7 +169,7 @@ def _cmd_verify(args, parser) -> int:
                     _log(f"index recovered by search: {found_j}")
             else:
                 ok, recovered = semecs_mod.semecs_verify_indexed(pk, envelope)
-    except (MalformedEncoding, CorruptState) as exc:
+    except (CorruptState, IoFailure, MalformedEncoding, OSError) as exc:
         _log(f"malformed input: {exc}")
         return EXIT_USAGE
 
@@ -263,7 +258,7 @@ def _emit_records(records, csv_path, json_path) -> None:
             fh.write(bench_mod.to_json(records))
         _log(f"wrote {json_path}")
     if not (csv_path or json_path):
-        sys.stdout.write(bench_mod.format_table(records))
+        bench_mod.write_csv(records, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +331,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:  # argparse usage errors already printed
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (EmptyMessage, UnsupportedCombo, MalformedEncoding) as exc:
+    except (EmptyMessage, UnsupportedCombo, MalformedEncoding, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
     except SemecsError as exc:

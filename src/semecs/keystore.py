@@ -142,13 +142,16 @@ def parse_record(data: bytes) -> SignerStateRecord:
     q = rd.take_len16_int()
     alpha = rd.take_len16_int()
     # GroupParams checks alpha^q = 1 with a pow whose cost grows with p;
-    # only toy groups and the 256-bit production group are ever written
+    # only toy groups and the 256-bit production group are ever written,
+    # and the production group is the validated constant itself
     if p.bit_length() > PRODUCTION_GROUP.p.bit_length():
         raise CorruptState(f"group modulus of {p.bit_length()} bits is too wide")
-    try:
-        params = GroupParams(p=p, q=q, alpha=alpha)
-    except ValueError as exc:
-        raise CorruptState(f"invalid group parameters: {exc}") from exc
+    params = PRODUCTION_GROUP
+    if (p, q, alpha) != (params.p, params.q, params.alpha):
+        try:
+            params = GroupParams(p=p, q=q, alpha=alpha)
+        except ValueError as exc:
+            raise CorruptState(f"invalid group parameters: {exc}") from exc
     j = int.from_bytes(rd.take(8), "big")
     K = int.from_bytes(rd.take(8), "big")
     payload_len = int.from_bytes(rd.take(4), "big")
@@ -266,12 +269,18 @@ def _record(
 
 
 def _payload(record: SignerStateRecord, tag: int, role: int, size: int) -> bytes:
-    """The payload of a ``tag``/``role`` record, which must be ``size`` octets."""
+    """The payload of a ``tag``/``role`` record, which must be ``size`` octets.
+
+    ETA and SEMECS records must also have K in [1, MAX_K]: their indices
+    travel in a 4-octet envelope field, and K = 0 leaves no index at all.
+    """
     if record.scheme_tag != tag or record.role != role:
         raise CorruptState(
             f"expected {SCHEME_NAMES[tag]}/{ROLE_NAMES[role]} record, found "
             f"{SCHEME_NAMES.get(record.scheme_tag, '?')}/{ROLE_NAMES.get(record.role, '?')}"
         )
+    if tag != SCHEME_SCHNORR and not 1 <= record.K <= semecs_mod.MAX_K:
+        raise CorruptState(f"capacity K={record.K} outside [1, {semecs_mod.MAX_K}]")
     if len(record.payload) != size:
         raise CorruptState(
             f"{SCHEME_NAMES[tag]} {ROLE_NAMES[role]} payload must be {size} octets, "

@@ -431,20 +431,3 @@ def envelope_challenge(params: GroupParams, env: SignedEnvelope) -> int:
     h0, _ = fdh_pair(params.q)
     return h0.eval(env.c + env.m_tilde)
 
-
-def envelope_overhead(
-    params: GroupParams, env: SignedEnvelope, message_len: int | None = None
-) -> int:
-    """Octets of the envelope that are not message payload.
-
-    c carries scalar_len octets of the message when unpadded (the whole
-    shorter message when padded), so the steady-state overhead is s plus the
-    fixed header.  Padded envelopes hide the original length inside the XOR
-    mask, so it must be supplied.
-    """
-    total = ENVELOPE_HEADER_LEN + 2 * params.scalar_len + len(env.m_tilde)
-    if message_len is None:
-        if env.padded:
-            raise ValueError("message_len is required for padded envelopes")
-        message_len = params.scalar_len + len(env.m_tilde)
-    return total - message_len

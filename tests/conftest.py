@@ -42,3 +42,18 @@ def zero_secret_record(request):
     return keystore.SignerStateRecord(
         scheme, keystore.GROUP_PRODUCTION, role, PRODUCTION_GROUP, 0, K, payload
     )
+
+
+@pytest.fixture(params=["eta", "semecs"])
+def large_k_record(request):
+    """A production-group signer state with K = 2^33, past the 4-octet index."""
+    L = PRODUCTION_GROUP.scalar_len
+    one = (1).to_bytes(L, "big")
+    scheme, payload = {
+        "eta": (keystore.SCHEME_ETA, one + one),
+        "semecs": (keystore.SCHEME_SEMECS, one),
+    }[request.param]
+    return keystore.SignerStateRecord(
+        scheme, keystore.GROUP_PRODUCTION, keystore.ROLE_STATE, PRODUCTION_GROUP,
+        1 << 32, 1 << 33, payload,
+    )

@@ -27,7 +27,6 @@ from semecs.semecs import (
     ENVELOPE_HEADER_LEN,
     SignedEnvelope,
     envelope_challenge,
-    envelope_overhead,
     extract_private_key,
     semecs_keygen_from_secret,
     semecs_sign,
@@ -107,7 +106,6 @@ def test_criterion_3_size_formulas_at_128_bit_level(tmp_path):
         env = semecs_sign(state, message)
         blob = env.to_bytes(PRODUCTION_GROUP)
         assert len(blob) - len(message) == 32 + ENVELOPE_HEADER_LEN
-        assert envelope_overhead(PRODUCTION_GROUP, env) == 32 + ENVELOPE_HEADER_LEN
 
         # public key payload for K = 2^17: (2K+1) * 32 = 8,388,640 octets
         small_path = tmp_path / "small.pk"

@@ -16,7 +16,7 @@ from semecs.bench import (
     write_csv,
 )
 from semecs.errors import UnsupportedCombo
-from semecs.group import TOY_GROUP
+from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 
 
 # --- energy model -------------------------------------------------------------
@@ -112,9 +112,10 @@ def test_unsupported_combo():
         run_bench("semecs", "sign", TOY_GROUP, iterations=0)
 
 
-def test_tx_bytes_follow_signature_overhead():
-    sign = {s: run_bench(s, "sign", TOY_GROUP, iterations=5) for s in PROFILES_SCHEMES}
-    L = TOY_GROUP.scalar_len
+@pytest.mark.parametrize("group", [TOY_GROUP, PRODUCTION_GROUP], ids=["toy", "prod"])
+def test_tx_bytes_follow_signature_overhead(group):
+    sign = {s: run_bench(s, "sign", group, iterations=5) for s in PROFILES_SCHEMES}
+    L = group.scalar_len
     assert sign["schnorr"].tx_bytes == 1 + 2 * L
     assert sign["eta"].tx_bytes == 1 + 4 + L + 16
     assert sign["semecs"].tx_bytes == 6 + L
@@ -148,6 +149,11 @@ def test_csv_round_trip():
     assert tuple(header) == CSV_COLUMNS
     stream.seek(0)
     assert read_csv(stream) == records
+    filled = apply_energy(records, AVR_ATMEGA2560)
+    stream = io.StringIO()
+    write_csv(filled, stream)
+    stream.seek(0)
+    assert read_csv(stream) == filled
 
 
 def test_apply_energy_fills_columns_and_orders_comm():

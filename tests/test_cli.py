@@ -1,11 +1,15 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from semecs import keystore
+from semecs import eta, keystore
+from semecs.bench import CSV_COLUMNS
 from semecs.cli import main
+from semecs.eta import EtaSignature
 from semecs.group import PRODUCTION_GROUP
+from semecs.schnorr import SchnorrKeyPair
 
 
 @pytest.fixture
@@ -204,6 +208,30 @@ def test_corrupted_files_are_usage_or_state_errors(tmp_path, msgfile, capsys, sc
     capsys.readouterr()
 
 
+def test_sign_past_the_index_field_is_a_state_error(tmp_path, msgfile, capsys,
+                                                   large_k_record):
+    sk = tmp_path / "large.sk"
+    keystore.save_state(sk, large_k_record)
+    env = tmp_path / "m.env"
+    assert main(["sign", "--sk", str(sk), "--in", str(msgfile), "--out", str(env)]) == 3
+    assert not env.exists()
+    assert keystore.load_state(sk).j == large_k_record.j
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_with_capacity_zero_key_is_a_usage_error(tmp_path, capsys):
+    kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
+    pk = tmp_path / "zero.pk"
+    record = keystore.record_from_schnorr_public(PRODUCTION_GROUP, kp.Y)
+    keystore.save_state(pk, replace(record, scheme_tag=keystore.SCHEME_ETA))
+    # a well-formed ETA envelope for index 0, which a K = 0 key does not have
+    env = tmp_path / "m.env"
+    sig = EtaSignature(s=1, x=bytes(eta.X_LEN), j=0)
+    env.write_bytes(eta.encode_signed_message(PRODUCTION_GROUP, sig, b"message"))
+    assert main(["verify", "--pk", str(pk), "--env", str(env)]) == 2
+    assert "capacity" in capsys.readouterr().err
+
+
 def test_inspect_corrupt_file(tmp_path, capsys):
     path = tmp_path / "junk.sk"
     path.write_bytes(b"not a key file")
@@ -234,6 +262,40 @@ def test_bench_iters_zero_is_usage_error(capsys):
     assert main(["bench", "--scheme", "semecs", "--group", "toy",
                  "--iters", "0"]) == 2
     capsys.readouterr()
+
+
+_BAD_CSVS = {
+    "columns.csv": b"a,b\r\n1,2\r\n",
+    "number.csv": (",".join(CSV_COLUMNS) + "\r\nsemecs,sign,five,1,1,1,0,0,38,,\r\n").encode(),
+    "utf8.csv": (",".join(CSV_COLUMNS) + "\r\nsemecs,sign,\xff\xfe,").encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keygen", "--scheme", "semecs", "-K", "0"],
+        ["keygen", "--scheme", "eta", "-K", "-3"],
+        ["keygen", "--scheme", "semecs", "--group", "toy", "-K", "4294967296"],
+        ["bench", "--scheme", "semecs", "--iters", "2", "-K", "0"],
+        ["energy-report", "--profile", "avr-atmega2560", "--cycles", "-1"],
+        ["energy-report", "--profile", "nrf24l01", "--cycles", "5"],
+        ["energy-report", "--profile", "avr-atmega2560", "--cycles", "5", "--bits", "-8"],
+        *(["energy-report", "--profile", "avr-atmega2560", "--from", name]
+          for name in _BAD_CSVS),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[3:]),
+)
+def test_bad_numbers_and_bench_csvs_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SEMECS_HOME", str(tmp_path))
+    for name, data in _BAD_CSVS.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "key.sk").exists()
 
 
 def test_energy_report_direct_cycles(capsys):

@@ -1,10 +1,12 @@
 """Every decoder is total: any input gives a value or the decoder's own error."""
 
 import hashlib
+import io
 
 from hypothesis import given, settings, strategies as st
 
 from semecs import eta, keystore, schnorr
+from semecs.bench import CSV_COLUMNS, read_csv
 from semecs.errors import CorruptState, MalformedEncoding
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, generate_toy_group
 from semecs.semecs import SignedEnvelope, semecs_keygen_from_secret
@@ -72,6 +74,16 @@ def test_envelope_decoders_on_arbitrary_bytes(params, data):
             decode(params, data)
         except MalformedEncoding:
             pass
+
+
+@PROPERTY
+@given(st.one_of(st.text(max_size=300), st.text(max_size=300).map(
+    lambda rows: ",".join(CSV_COLUMNS) + "\r\n" + rows)))
+def test_read_csv_on_arbitrary_text(text):
+    try:
+        read_csv(io.StringIO(text, newline=""))
+    except MalformedEncoding:
+        pass
 
 
 _FROM_RECORD = (

@@ -19,7 +19,7 @@ from semecs.keystore import (
     save_state,
     serialize_record,
 )
-from semecs.schnorr import schnorr_keygen
+from semecs.schnorr import SchnorrKeyPair, schnorr_keygen
 from semecs.semecs import (
     build_search_index,
     envelope_challenge,
@@ -144,6 +144,27 @@ _SECRET_LOADERS = {
 def test_zero_secret_scalar_is_corrupt(zero_secret_record):
     with pytest.raises(CorruptState):
         _SECRET_LOADERS[zero_secret_record.scheme_tag](zero_secret_record)
+
+
+def test_capacity_beyond_the_index_field_is_corrupt(large_k_record):
+    record = parse_record(serialize_record(large_k_record))  # the record itself loads
+    with pytest.raises(CorruptState, match="capacity"):
+        _SECRET_LOADERS[record.scheme_tag](record)
+
+
+def test_k_time_public_key_without_capacity_is_corrupt():
+    kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
+    schnorr_pk = keystore.record_from_schnorr_public(PRODUCTION_GROUP, kp.Y)
+    # a Schnorr public payload is exactly an ETA public key with K = 0
+    as_eta = replace(schnorr_pk, scheme_tag=keystore.SCHEME_ETA)
+    with pytest.raises(CorruptState, match="capacity"):
+        keystore.eta_public_from_record(as_eta)
+
+
+def test_production_records_share_the_group_constant():
+    kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
+    blob = serialize_record(keystore.record_from_schnorr_key(kp))
+    assert parse_record(blob).params is PRODUCTION_GROUP
 
 
 def test_scheme_role_mismatch_raises():

@@ -17,7 +17,6 @@ from semecs.semecs import (
     SignedEnvelope,
     build_search_index,
     envelope_challenge,
-    envelope_overhead,
     extract_private_key,
     join_message,
     semecs_keygen,
@@ -411,15 +410,9 @@ def test_envelope_overhead_accounting():
     state, _ = semecs_keygen_from_secret(PRODUCTION_GROUP, 2, y=31337)
     long_msg = bytes(range(64))
     env = semecs_sign(state, long_msg)
-    assert envelope_overhead(PRODUCTION_GROUP, env) == 32 + ENVELOPE_HEADER_LEN
     assert len(env.to_bytes(PRODUCTION_GROUP)) - len(long_msg) == 32 + ENVELOPE_HEADER_LEN
     short = semecs_sign(state, b"tiny")
-    assert (
-        envelope_overhead(PRODUCTION_GROUP, short, message_len=4)
-        == len(short.to_bytes(PRODUCTION_GROUP)) - 4
-    )
-    with pytest.raises(ValueError):
-        envelope_overhead(PRODUCTION_GROUP, short)
+    assert len(short.to_bytes(PRODUCTION_GROUP)) == ENVELOPE_HEADER_LEN + 2 * 32
 
 
 # --- search index -------------------------------------------------------------
