@@ -51,7 +51,7 @@ for i in range(3):
 
 # --- SEMECS: deterministic, no group ops, message recovery -------------------
 print("\n--- SEMECS ---")
-state, pk = semecs_keygen_from_secret(g, K=2, y=3, require_index=False)
+state, pk = semecs_keygen_from_secret(g, K=2, y=3)
 print("token pairs (gamma_j, beta_j):")
 for j in range(2):
     print(f"  j={j}: gamma={pk.gammas[j].hex()} beta={pk.betas[j].hex()}")

@@ -1,8 +1,10 @@
 """Production-group signing with randomized message recovery.
 
-Shows the headline size story at the 128-bit level: a 32-octet private key,
-32 octets of cryptographic overhead per signature, and a public key of
-(2K+1) * 32 octets that the verifier holds instead of the signer.
+Shows the headline size story in the 256-bit prime-field group: a 32-octet
+private key, 32 octets of cryptographic overhead per signature, and a public
+key of (2K+1) * 32 octets that the verifier holds instead of the signer.
+These are the sizes of a 256-bit elliptic curve; the security of a 256-bit
+prime field is far below 128 bits.
 """
 
 import time

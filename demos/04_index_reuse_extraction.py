@@ -18,8 +18,8 @@ from semecs import (
 params = TOY_GROUP
 SECRET_Y = 3
 
-state_a, pk = semecs_keygen_from_secret(params, K=1, y=SECRET_Y, require_index=False)
-state_b, _ = semecs_keygen_from_secret(params, K=1, y=SECRET_Y, require_index=False)
+state_a, pk = semecs_keygen_from_secret(params, K=1, y=SECRET_Y)
+state_b, _ = semecs_keygen_from_secret(params, K=1, y=SECRET_Y)
 print(f"a toy signer with private y = {SECRET_Y}, public Y = {pk.Y}")
 
 env_a = semecs_sign(state_a, b"first message, index 0")

@@ -197,15 +197,15 @@ def run_bench(
             "verify": lambda: eta_mod.eta_verify(pk, message, sig),
         }[operation]
     else:
-        # the search index is irrelevant here; skip it so sign can be
-        # benched even on groups too small for `total` distinct betas
         state, pk = semecs_mod.semecs_keygen_from_secret(
-            params, total + 1, random_scalar(params, rng), require_index=False
+            params, total + 1, random_scalar(params, rng)
         )
         env = semecs_mod.semecs_sign(state, message)
         blob = env.to_bytes(params)
         work = {
-            "keygen": lambda: semecs_mod.semecs_keygen(params, K, rng),
+            "keygen": lambda: semecs_mod.semecs_keygen_from_secret(
+                params, K, random_scalar(params, rng)
+            ),
             "sign": lambda: semecs_mod.semecs_sign(state, message),
             "verify": lambda: semecs_mod.semecs_verify_indexed(pk, env),
         }[operation]

@@ -188,7 +188,7 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_inspect(args, parser) -> int:
     record = keystore.load_state(args.path)
-    group = "toy" if record.group_id == keystore.GROUP_TOY else "prod"
+    group = "toy" if record.params.is_toy else "prod"
     lines = [
         f"scheme: {keystore.SCHEME_NAMES[record.scheme_tag]}",
         f"role: {keystore.ROLE_NAMES[record.role]}",

@@ -55,7 +55,10 @@ class EtaPublicKey:
     params: GroupParams
     Y: int
     tokens: tuple[bytes, ...]  # v_j = H1(R_j), one scalar_len digest per index
-    K: int
+
+    @property
+    def K(self) -> int:
+        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def eta_keygen_from_secrets(
         tokens.append(h1.eval_encoded(encode_element(params, big_r)))
         r = h0.eval(encode_scalar(params, r))  # chain step
     state = EtaSigningState(params=params, y=y, r_cur=r0, j=0, K=K)
-    pk = EtaPublicKey(params=params, Y=big_y, tokens=tuple(tokens), K=K)
+    pk = EtaPublicKey(params=params, Y=big_y, tokens=tuple(tokens))
     return state, pk
 
 

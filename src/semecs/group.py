@@ -7,8 +7,10 @@ order-q subgroup of Z_p*.  Two interchangeable backends are provided:
 * ``TOY_GROUP`` (p=23, q=11, alpha=2) and anything produced by
   :func:`generate_toy_group` -- small enough for exhaustive oracles such as
   :func:`brute_force_dlog`.  Never for real security.
-* ``PRODUCTION_GROUP`` -- a fixed 256-bit safe-prime group at the 128-bit
-  security level.  Scalars and group elements both encode to 32 octets.
+* ``PRODUCTION_GROUP`` -- a fixed 256-bit prime-field group.  Scalars and
+  elements encode to 32 octets, the sizes of a 256-bit elliptic curve, but
+  its security is far below 128 bits: NIST SP 800-57 Part 1 Rev. 5, Table 2,
+  asks for a 3072-bit p at that level.
 
 Every single power of the fixed generator alpha (key-generation commitments,
 Schnorr nonces) is read from a fixed-base table built once per group

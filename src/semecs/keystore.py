@@ -359,9 +359,7 @@ def eta_public_from_record(record: SignerStateRecord) -> eta_mod.EtaPublicKey:
     L, elen = params.scalar_len, params.element_len
     payload = _payload(record, SCHEME_ETA, ROLE_PUBLIC, elen + record.K * L)
     tokens = tuple(payload[off : off + L] for off in range(elen, len(payload), L))
-    return eta_mod.EtaPublicKey(
-        params=params, Y=_element(params, payload[:elen]), tokens=tokens, K=record.K
-    )
+    return eta_mod.EtaPublicKey(params, _element(params, payload[:elen]), tokens)
 
 
 def record_from_semecs_state(state: semecs_mod.SemecsSigningState) -> SignerStateRecord:
@@ -385,24 +383,17 @@ def record_from_semecs_public(pk: semecs_mod.SemecsPublicKey) -> SignerStateReco
     return _record(SCHEME_SEMECS, ROLE_PUBLIC, pk.params, payload, K=pk.K)
 
 
-def semecs_public_from_record(
-    record: SignerStateRecord, require_index: bool = False
-) -> semecs_mod.SemecsPublicKey:
-    """Rebuild the public key; the sorted index is reconstructed, not stored.
-
-    Rebuilding is deterministic over identical beta values, so the index
-    round-trips stably through serialization.
-    """
+def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPublicKey:
+    """Rebuild the public key; its search index is built on first search."""
     params = record.params
     L, elen = params.scalar_len, params.element_len
     payload = _payload(record, SCHEME_SEMECS, ROLE_PUBLIC, elen + 2 * record.K * L)
     offsets = range(elen, len(payload), 2 * L)
-    return semecs_mod.SemecsPublicKey.from_tokens(
+    return semecs_mod.SemecsPublicKey(
         params,
         _element(params, payload[:elen]),
-        [payload[off : off + L] for off in offsets],
-        [payload[off + L : off + 2 * L] for off in offsets],
-        require_index=require_index,
+        tuple(payload[off : off + L] for off in offsets),
+        tuple(payload[off + L : off + 2 * L] for off in offsets),
     )
 
 

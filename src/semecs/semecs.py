@@ -13,8 +13,8 @@ where R_j = alpha^{r_j}.  The signature is (s_j, c_j) with
 c_j = first-scalar_len-octets-of-M XOR z_j, so c_j simultaneously randomizes
 the Fiat-Shamir hash e_j = H0(c_j || M~) and carries message payload that the
 verifier recovers via gamma_j.  Cryptographic transmission overhead beyond
-the message is s_j alone (32 octets at the 128-bit level) plus the small
-envelope header.
+the message is s_j alone (32 octets in the 256-bit prime-field group) plus
+the small envelope header.
 
 Verification is either indexed (j travels in the envelope) or index-free via
 binary search over the sorted beta tokens.  Signing twice at one index is
@@ -25,6 +25,7 @@ is released (see :mod:`semecs.keystore`).
 
 from __future__ import annotations
 
+import functools
 import hmac
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -168,25 +169,18 @@ class SemecsPublicKey:
     Y: int
     gammas: tuple[bytes, ...]
     betas: tuple[bytes, ...]
-    K: int
-    search_index: Optional[SearchIndex]
 
-    @classmethod
-    def from_tokens(
-        cls, params: GroupParams, big_y: int, gammas, betas, require_index: bool = True
-    ) -> "SemecsPublicKey":
-        """The public key over these tokens, with its search index built.
+    @property
+    def K(self) -> int:
+        return len(self.betas)
 
-        With ``require_index=False`` a beta collision yields a key without a
-        search index (indexed verification still works) instead of raising.
-        """
+    @functools.cached_property
+    def search_index(self) -> Optional[SearchIndex]:
+        """The sorted betas, built on first search; None when two betas collide."""
         try:
-            index = build_search_index(betas)
+            return build_search_index(self.betas)
         except DuplicateBeta:
-            if require_index:
-                raise
-            index = None
-        return cls(params, big_y, tuple(gammas), tuple(betas), len(betas), index)
+            return None
 
 
 @dataclass(frozen=True)
@@ -238,14 +232,13 @@ def _derivation_input(params: GroupParams, y: int, j: int) -> bytes:
 
 
 def semecs_keygen_from_secret(
-    params: GroupParams, K: int, y: int, require_index: bool = True
+    params: GroupParams, K: int, y: int
 ) -> tuple[SemecsSigningState, SemecsPublicKey]:
     """Deterministic key generation from the private scalar y.
 
-    Re-running with the same y reproduces a byte-identical public key.
-    ``require_index=False`` is passed to :meth:`SemecsPublicKey.from_tokens`;
-    only tiny toy groups, where scalar_len-octet tokens can collide by
-    pigeonhole, need this escape hatch.
+    Re-running with the same y reproduces a byte-identical public key.  On
+    tiny toy groups, where scalar_len-octet betas can collide by pigeonhole,
+    the key's ``search_index`` is None; indexed verification still works.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -265,7 +258,7 @@ def semecs_keygen_from_secret(
         token_preimage = encode_element(params, big_r)
         gammas.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))
         betas.append(h1.eval_encoded(token_preimage))
-    pk = SemecsPublicKey.from_tokens(params, big_y, gammas, betas, require_index)
+    pk = SemecsPublicKey(params, big_y, tuple(gammas), tuple(betas))
     return SemecsSigningState(params=params, y=y, j=0, K=K), pk
 
 
@@ -278,17 +271,14 @@ def semecs_keygen(
     happen on the production group, but small toy groups can hit them and a
     fresh y usually clears it.
     """
-    failure: DuplicateBeta | None = None
     for _ in range(INDEX_RETRY_BOUND):
-        y = random_scalar(params, rng)
-        try:
-            return semecs_keygen_from_secret(params, K, y)
-        except DuplicateBeta as exc:
-            failure = exc
+        state, pk = semecs_keygen_from_secret(params, K, random_scalar(params, rng))
+        if pk.search_index is not None:
+            return state, pk
     raise DuplicateBeta(
         f"beta tokens still collide after {INDEX_RETRY_BOUND} fresh keys; "
         f"the group is too small for K={K} distinct tokens"
-    ) from failure
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_criterion_1_completeness_and_recovery_sweep():
             keypair_count += 1
             y = rnd.randrange(1, TOY_GROUP.q)
             state, pk = semecs_keygen_from_secret(
-                TOY_GROUP, 16, y=y, require_index=False
+                TOY_GROUP, 16, y=y
             )
             for j in range(16):
                 n = lengths[checked % len(lengths)]
@@ -81,7 +81,7 @@ def test_criterion_1_completeness_and_recovery_sweep():
 def test_criterion_2_zero_group_operation_signing():
     with criterion(2, "1000 SEMECS signatures perform zero group operations") as report:
         state, _ = semecs_keygen_from_secret(
-            TOY_GROUP, 1000, y=7, require_index=False
+            TOY_GROUP, 1000, y=7
         )
         rnd = random.Random(202)
         with count_group_ops() as ops:
@@ -156,14 +156,14 @@ def test_criterion_5_extraction_oracle_exhaustive():
         started = time.perf_counter()
         for y in range(1, TOY_GROUP.q):
             state_a, pk = semecs_keygen_from_secret(
-                TOY_GROUP, 1, y=y, require_index=False
+                TOY_GROUP, 1, y=y
             )
             env_a = semecs_sign(state_a, b"first transcript")
             e_a = envelope_challenge(TOY_GROUP, env_a)
             env_b = None
             for i in range(64):  # distinct challenge needed; q=11 collides often
                 state_b, _ = semecs_keygen_from_secret(
-                    TOY_GROUP, 1, y=y, require_index=False
+                    TOY_GROUP, 1, y=y
                 )
                 candidate = semecs_sign(state_b, b"second transcript %d" % i)
                 if envelope_challenge(TOY_GROUP, candidate) != e_a:
@@ -181,7 +181,7 @@ def test_criterion_5_extraction_oracle_exhaustive():
 
 def test_criterion_6_exhaustion_and_crash_safety(tmp_path, big_toy):
     with criterion(6, "key exhaustion fails closed; faults burn but never reuse") as report:
-        state, _ = semecs_keygen_from_secret(big_toy, 3, y=5, require_index=False)
+        state, _ = semecs_keygen_from_secret(big_toy, 3, y=5)
         for _ in range(3):
             semecs_sign(state, b"use up an index")
         with pytest.raises(KeyExhausted):
@@ -189,7 +189,7 @@ def test_criterion_6_exhaustion_and_crash_safety(tmp_path, big_toy):
 
         # fault injection: simulated crash between counter advance and release
         full_state, _ = semecs_keygen_from_secret(
-            big_toy, 2200, y=99, require_index=False
+            big_toy, 2200, y=99
         )
         path = tmp_path / "crashy.sk"
         keystore.save_state(path, keystore.record_from_semecs_state(full_state))

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -129,6 +130,14 @@ def test_keygen_bench_counts_k_plus_one_exps():
     )
     assert keygen.tx_bytes == 0
     assert keygen.exp_ops == 5.0  # K commitments plus Y
+
+
+def test_keygen_bench_does_not_need_distinct_betas():
+    # TOY_GROUP's one-octet betas often collide at K = 4; keygen is timed
+    # without the search index, so no seed fails or retries
+    for seed in range(200):
+        keygen = run_bench("semecs", "keygen", TOY_GROUP, 3, K=4, rng=random.Random(seed))
+        assert keygen.exp_ops == 5.0
 
 
 # --- emission -------------------------------------------------------------------

@@ -8,8 +8,9 @@ from semecs import eta, keystore
 from semecs.bench import CSV_COLUMNS
 from semecs.cli import main
 from semecs.eta import EtaSignature
-from semecs.group import PRODUCTION_GROUP
+from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 from semecs.schnorr import SchnorrKeyPair
+from semecs.semecs import semecs_keygen_from_secret, semecs_sign
 
 
 @pytest.fixture
@@ -120,6 +121,19 @@ def test_no_index_flag_rejected_for_schnorr(tmp_path, msgfile, capsys):
     capsys.readouterr()
 
 
+def test_no_index_on_colliding_tokens_is_a_usage_error(tmp_path, capsysbinary):
+    # q = 11 leaves one-octet betas, so 16 of them must collide
+    state, pk = semecs_keygen_from_secret(TOY_GROUP, 16, y=3)
+    pk_path, env = tmp_path / "toy.pk", tmp_path / "m.env"
+    keystore.save_state(pk_path, keystore.record_from_semecs_public(pk))
+    env.write_bytes(semecs_sign(state, b"colliding").to_bytes(TOY_GROUP))
+    argv = ["verify", "--pk", str(pk_path), "--env", str(env)]
+    assert main(argv + ["--no-index"]) == 2
+    assert b"colliding tokens" in capsysbinary.readouterr().err
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == b"colliding"
+
+
 def test_exhaustion_is_a_state_error(tmp_path, msgfile, capsys):
     prefix = _keygen(tmp_path, K=2)
     for i in range(2):
@@ -163,6 +177,17 @@ def test_inspect_shows_metadata_only(tmp_path, capsys):
     assert "scheme: semecs" in out and "role: state" in out
     assert "j: 0" in out and "K: 2" in out
     assert record.payload.hex() not in out  # never the secret itself
+
+
+def test_inspect_names_the_group_by_its_parameters(tmp_path, capsys):
+    # the group byte is not authenticated: the integrity tag is unkeyed
+    path = tmp_path / "retagged.sk"
+    keystore.save_state(path, keystore.SignerStateRecord(
+        keystore.SCHEME_SCHNORR, keystore.GROUP_TOY, keystore.ROLE_SECRET,
+        PRODUCTION_GROUP, 0, 0, (1).to_bytes(PRODUCTION_GROUP.scalar_len, "big"),
+    ))
+    assert main(["inspect", str(path)]) == 0
+    assert "group: prod (|q| = 255 bits)" in capsys.readouterr().out
 
 
 def test_sign_with_zero_secret_is_a_state_error(tmp_path, msgfile, capsys,

@@ -17,7 +17,7 @@ PROPERTY = settings(max_examples=200, deadline=None)
 
 
 def _sample_records():
-    state, pk = semecs_keygen_from_secret(BIG_TOY, 3, y=5, require_index=False)
+    state, pk = semecs_keygen_from_secret(BIG_TOY, 3, y=5)
     eta_state, eta_pk = eta.eta_keygen_from_secrets(PRODUCTION_GROUP, 2, 7, 11)
     kp = schnorr.SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
     return [

@@ -142,3 +142,9 @@ def test_keygen_validation(rng):
         eta_keygen(TOY_GROUP, 0, rng)
     with pytest.raises(ValueError):
         eta_keygen_from_secrets(TOY_GROUP, 2, y=0, r0=4)
+
+
+def test_public_key_holds_only_its_tokens():
+    _, pk = eta_keygen_from_secrets(TOY_GROUP, 3, y=3, r0=4)
+    assert [f.name for f in dataclasses.fields(pk)] == ["params", "Y", "tokens"]
+    assert pk.K == len(pk.tokens) == 3

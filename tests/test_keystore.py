@@ -32,7 +32,7 @@ from semecs.semecs import (
 
 def _semecs_record(params=None, K=4, y=5):
     state, pk = semecs_keygen_from_secret(
-        params or generate_toy_group(1 << 19), K, y=y, require_index=False
+        params or generate_toy_group(1 << 19), K, y=y
     )
     return keystore.record_from_semecs_state(state), state, pk
 
@@ -200,7 +200,7 @@ def test_semecs_record_round_trip(big_toy, rng):
     restored = keystore.semecs_state_from_record(keystore.record_from_semecs_state(state))
     assert (restored.y, restored.j, restored.K) == (state.y, state.j, state.K)
     pk2 = keystore.semecs_public_from_record(keystore.record_from_semecs_public(pk))
-    assert pk2 == pk  # includes the rebuilt search index
+    assert pk2 == pk
 
 
 def test_semecs_public_file_size_formula(tmp_path):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +11,8 @@ from semecs.errors import (
     StatePersistFailure,
 )
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
-from semecs.keystore import record_from_semecs_public
+from semecs import semecs as semecs_mod
+from semecs.keystore import record_from_semecs_public, semecs_public_from_record
 from semecs.semecs import (
     ENVELOPE_HEADER_LEN,
     SignedEnvelope,
@@ -75,7 +76,7 @@ def test_join_rejects_bad_padding():
 # --- key generation ---------------------------------------------------------
 
 def test_keygen_transcript_matches_oracle():
-    _, pk = semecs_keygen_from_secret(TOY_GROUP, 2, y=3, require_index=False)
+    _, pk = semecs_keygen_from_secret(TOY_GROUP, 2, y=3)
     expected = semecs_keygen_transcript(TOY_GROUP, 3, 2)
     assert pk.Y == expected["Y"] == 8
     for j, row in enumerate(expected["rows"]):
@@ -142,7 +143,7 @@ def test_public_key_size_formula(K):
 # --- signing ----------------------------------------------------------------
 
 def test_sign_transcript_matches_oracle():
-    state, pk = semecs_keygen_from_secret(TOY_GROUP, 2, y=3, require_index=False)
+    state, pk = semecs_keygen_from_secret(TOY_GROUP, 2, y=3)
     msg = b"hello-semecs-msg"
     env = semecs_sign(state, msg)
     expected = semecs_sign_transcript(TOY_GROUP, 3, 0, msg)
@@ -158,7 +159,7 @@ def test_sign_transcript_matches_oracle():
 
 
 def test_sign_performs_zero_group_operations(big_toy):
-    state, _ = semecs_keygen_from_secret(big_toy, 64, y=7, require_index=False)
+    state, _ = semecs_keygen_from_secret(big_toy, 64, y=7)
     with count_group_ops() as ops:
         for i in range(64):
             semecs_sign(state, bytes([i]) * 20)
@@ -308,7 +309,7 @@ def test_search_rejects_forgeries(big_toy, rng):
 
 
 def test_search_requires_an_index():
-    state, pk = semecs_keygen_from_secret(TOY_GROUP, 16, y=3, require_index=False)
+    state, pk = semecs_keygen_from_secret(TOY_GROUP, 16, y=3)
     env = semecs_sign(state, b"no index here")
     assert pk.search_index is None
     with pytest.raises(ValueError):
@@ -341,8 +342,8 @@ def test_search_and_indexed_agree(big_toy, rng):
 
 def test_extraction_recovers_every_toy_key():
     for y in range(1, 11):
-        state_a, pk = semecs_keygen_from_secret(TOY_GROUP, 1, y=y, require_index=False)
-        state_b, _ = semecs_keygen_from_secret(TOY_GROUP, 1, y=y, require_index=False)
+        state_a, pk = semecs_keygen_from_secret(TOY_GROUP, 1, y=y)
+        state_b, _ = semecs_keygen_from_secret(TOY_GROUP, 1, y=y)
         env_a = semecs_sign(state_a, b"first message")
         e_a = envelope_challenge(TOY_GROUP, env_a)
         # pick a second message whose challenge differs (q=11 collides often)
@@ -429,3 +430,27 @@ def test_build_search_index_singleton_and_duplicates():
     assert build_search_index([b"\x01"]).order == (0,)
     with pytest.raises(DuplicateBeta):
         build_search_index([b"\x01", b"\x02", b"\x01"])
+
+
+def test_public_key_holds_only_its_tokens(big_toy):
+    _, pk = semecs_keygen_from_secret(big_toy, 5, y=7)
+    assert [f.name for f in fields(pk)] == ["params", "Y", "gammas", "betas"]
+    assert pk.K == len(pk.betas) == 5
+
+
+def test_search_index_is_built_on_the_first_search_only(big_toy, monkeypatch):
+    state, pk = semecs_keygen_from_secret(big_toy, 8, y=11)
+    envs = [semecs_sign(state, b"message %d" % i) for i in range(3)]
+    record = record_from_semecs_public(pk)
+    built = []
+    real = semecs_mod.build_search_index
+    monkeypatch.setattr(
+        semecs_mod, "build_search_index", lambda betas: built.append(1) or real(betas)
+    )
+    loaded = semecs_public_from_record(record)
+    assert all(semecs_verify_indexed(loaded, env)[0] for env in envs)
+    assert len(built) == 0
+    assert semecs_verify_search(loaded, envs[0])[:2] == (True, 0)
+    assert len(built) == 1
+    assert semecs_verify_search(loaded, envs[1])[:2] == (True, 1)
+    assert len(built) == 1
