@@ -34,7 +34,14 @@ print("\n--- Schnorr baseline ---")
 kp = SchnorrKeyPair.from_private(g, 3)
 print(f"private y = {kp.y}, public Y = alpha^y = {kp.Y}")
 print(f"(exhaustive dlog oracle agrees: {brute_force_dlog(g, kp.Y)})")
-sig = schnorr_sign(kp, b"toy message", nonce=4)
+
+
+class ForcedNonce:  # a randomness source that always draws r = 4
+    def randrange(self, start, stop):
+        return 4
+
+
+sig = schnorr_sign(kp, b"toy message", ForcedNonce())
 print(f"forced nonce r = 4 gives R = 2^4 = 16, signature (s={sig.s}, e={sig.e})")
 print(f"verifies: {schnorr_verify(g, kp.Y, b'toy message', sig)}")
 

@@ -29,7 +29,7 @@ from . import eta as eta_mod
 from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
 from .errors import MalformedEncoding, UnsupportedCombo
-from .group import GroupParams, OpCounter, count_group_ops, random_scalar
+from .group import GroupParams, count_group_ops, random_scalar
 
 CSV_SCHEMA_VERSION = 1
 SCHEMES = ("schnorr", "eta", "semecs")
@@ -157,7 +157,6 @@ def run_bench(
     params: GroupParams,
     iterations: int,
     K: int = 16,
-    warmup: Optional[int] = None,
     rng=None,
 ) -> BenchRecord:
     """Time one (scheme, operation) combination and count its group ops.
@@ -171,8 +170,7 @@ def run_bench(
         raise UnsupportedCombo(f"no benchmark for {scheme}/{operation}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if warmup is None:
-        warmup = min(32, iterations)
+    warmup = min(32, iterations)
 
     # 64 octets: longer than any group's scalar, so no envelope pads it
     message = b"bench message payload: " + b"\xa5" * 41
@@ -215,8 +213,7 @@ def run_bench(
         work()
 
     samples = []
-    counter = OpCounter()
-    with count_group_ops(counter):
+    with count_group_ops() as counter:
         for _ in range(iterations):
             t0 = time.perf_counter_ns()
             work()

@@ -30,7 +30,8 @@ from .group import (
 )
 
 X_LEN = 16  # kappa = 128 bits of per-signature randomness
-INDEX_LEN = 4  # wire width of the index j
+INDEX_LEN = 4  # wire width of the index j; K is capped accordingly
+MAX_K = (1 << (8 * INDEX_LEN)) - 1
 ENVELOPE_VERSION = 1
 
 
@@ -79,6 +80,8 @@ def eta_keygen_from_secrets(
     """Deterministic key generation from (y, r0) -- the test seam."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    if K > MAX_K:
+        raise ValueError(f"K exceeds the {INDEX_LEN}-octet envelope index")
     if not 1 <= y < params.q or not 1 <= r0 < params.q:
         raise ValueError("secrets must lie in [1, q-1]")
     h0, h1 = fdh_pair(params.q)
@@ -103,22 +106,17 @@ def eta_keygen(
     )
 
 
-def eta_sign(
-    state: EtaSigningState, message: bytes, rng=None, x: bytes | None = None
-) -> EtaSignature:
+def eta_sign(state: EtaSigningState, message: bytes, rng=None) -> EtaSignature:
     """Sign with the current chain value, then advance the chain.
 
-    e_j = H0(M || j || x_j), s_j = (r_j - e_j*y) mod q.  The state moves to
-    r_{j+1} = H0(r_j) and the old chain value is dropped before returning.
-    ``x`` forces the randomizer for reproducible transcripts.
+    e_j = H0(M || j || x_j), s_j = (r_j - e_j*y) mod q with the randomizer x_j
+    drawn from ``rng``.  The state moves to r_{j+1} = H0(r_j) and the old
+    chain value is dropped before returning.
     """
     if state.j >= state.K:
         raise KeyExhausted(f"all {state.K} indices consumed")
     params = state.params
-    if x is None:
-        x = random_octets(X_LEN, rng)
-    if len(x) != X_LEN:
-        raise ValueError(f"x must be {X_LEN} octets")
+    x = random_octets(X_LEN, rng)
     h0, _ = fdh_pair(params.q)
     e = h0.eval(message + _index_octets(state.j) + x)
     s = scalar_sub_mul(params.q, state.r_cur, e, state.y)

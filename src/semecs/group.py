@@ -28,8 +28,10 @@ a hardened side-channel guarantee.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
+import math
 import secrets
 from dataclasses import dataclass
 
@@ -128,8 +130,9 @@ _active_counter: contextvars.ContextVar[OpCounter | None] = contextvars.ContextV
 )
 
 
-class count_group_ops:
-    """Install an :class:`OpCounter` for the dynamic extent of a ``with`` block.
+@contextlib.contextmanager
+def count_group_ops():
+    """Install a fresh :class:`OpCounter` for the dynamic extent of a ``with`` block.
 
     >>> with count_group_ops() as ops:
     ...     exp(TOY_GROUP, 2, 4)
@@ -137,17 +140,12 @@ class count_group_ops:
     >>> ops.exp_count
     1
     """
-
-    def __init__(self, counter: OpCounter | None = None):
-        self.counter = counter if counter is not None else OpCounter()
-        self._token = None
-
-    def __enter__(self) -> OpCounter:
-        self._token = _active_counter.set(self.counter)
-        return self.counter
-
-    def __exit__(self, *exc) -> None:
-        _active_counter.reset(self._token)
+    counter = OpCounter()
+    token = _active_counter.set(counter)
+    try:
+        yield counter
+    finally:
+        _active_counter.reset(token)
 
 
 def _bump(field: str) -> None:
@@ -248,11 +246,6 @@ def scalar_sub_mul(q: int, r: int, e: int, y: int) -> int:
     return (r - e * y) % q
 
 
-def scalar_inv(q: int, x: int) -> int:
-    """Multiplicative inverse of x modulo the prime q."""
-    return pow(x, -1, q)
-
-
 def is_group_element(params: GroupParams, value: int) -> bool:
     """Membership test for the order-q subgroup (value in [1, p-1], value^q = 1)."""
     return 1 <= value < params.p and pow(value, params.q, params.p) == 1
@@ -351,32 +344,9 @@ def random_octets(n: int, rng=None) -> bytes:
 # Toy-group generation (safe-prime sieve)
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3 * 10^24; ample for toy sieving.
-    if n < 2:
-        return False
-    for sp in _MR_BASES:
-        if n % sp == 0:
-            return n == sp
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # Exact trial division; toy sieving keeps n below 2^26, so at most 2^13 steps
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def generate_toy_group(min_q: int) -> GroupParams:

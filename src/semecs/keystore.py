@@ -367,13 +367,11 @@ def record_from_semecs_state(state: semecs_mod.SemecsSigningState) -> SignerStat
     return _record(SCHEME_SEMECS, ROLE_STATE, state.params, payload, state.j, state.K)
 
 
-def semecs_state_from_record(
-    record: SignerStateRecord, persist=None
-) -> semecs_mod.SemecsSigningState:
+def semecs_state_from_record(record: SignerStateRecord) -> semecs_mod.SemecsSigningState:
     params = record.params
     payload = _payload(record, SCHEME_SEMECS, ROLE_STATE, params.scalar_len)
     return semecs_mod.SemecsSigningState(
-        params=params, y=_secret(params, payload), j=record.j, K=record.K, persist=persist
+        params=params, y=_secret(params, payload), j=record.j, K=record.K
     )
 
 
@@ -399,7 +397,6 @@ def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPub
 
 def open_semecs_signer(path) -> semecs_mod.SemecsSigningState:
     """Load a SEMECS signer whose counter writes through to its state file."""
-    record = load_state(path)
-    return semecs_state_from_record(
-        record, persist=lambda j, _p=os.fspath(path): advance_counter(_p, j)
-    )
+    state = semecs_state_from_record(load_state(path))
+    state.persist = lambda j, _p=os.fspath(path): advance_counter(_p, j)
+    return state

@@ -50,18 +50,14 @@ def schnorr_keygen(params: GroupParams, rng=None) -> SchnorrKeyPair:
     return SchnorrKeyPair.from_private(params, random_scalar(params, rng))
 
 
-def schnorr_sign(
-    kp: SchnorrKeyPair, message: bytes, rng=None, nonce: int | None = None
-) -> SchnorrSignature:
+def schnorr_sign(kp: SchnorrKeyPair, message: bytes, rng=None) -> SchnorrSignature:
     """Sign: R = alpha^r, e = H0(M || R), s = (r - e*y) mod q.
 
-    ``nonce`` forces the ephemeral r for reproducible transcripts; production
-    callers leave it None and supply (or default) a randomness source.
+    The nonce r is drawn from ``rng`` (default: the operating-system CSPRNG);
+    a deterministic source gives a reproducible transcript.
     """
     params = kp.params
-    r = nonce if nonce is not None else random_scalar(params, rng)
-    if not 1 <= r < params.q:
-        raise ValueError("nonce must lie in [1, q-1]")
+    r = random_scalar(params, rng)
     h0, _ = fdh_pair(params.q)
     big_r = exp(params, params.alpha, r)
     e = h0.eval(message + encode_element(params, big_r))

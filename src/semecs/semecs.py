@@ -47,7 +47,6 @@ from .group import (
     decode_scalar,
     exp,
     random_scalar,
-    scalar_inv,
     scalar_sub_mul,
 )
 
@@ -192,11 +191,10 @@ class SignedEnvelope:
     s: int
     c: bytes
     m_tilde: bytes
-    version: int = ENVELOPE_VERSION
 
     def to_bytes(self, params: GroupParams) -> bytes:
         return (
-            bytes([self.version])
+            bytes([ENVELOPE_VERSION])
             + self.j.to_bytes(INDEX_LEN, "big")
             + bytes([1 if self.padded else 0])
             + encode_scalar(params, self.s)
@@ -413,7 +411,7 @@ def extract_private_key(
     diff = (e_a - e_b) % params.q
     if diff == 0:
         raise NotExtractable("equal challenges leave the system underdetermined")
-    return (s_b - s_a) * scalar_inv(params.q, diff) % params.q
+    return (s_b - s_a) * pow(diff, -1, params.q) % params.q
 
 
 def envelope_challenge(params: GroupParams, env: SignedEnvelope) -> int:

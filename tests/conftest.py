@@ -6,6 +6,19 @@ from semecs import keystore
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, generate_toy_group
 
 
+class FixedSource:
+    """A randomness source whose every draw is fixed: r for scalars, x for octets."""
+
+    def __init__(self, r=1, x=b""):
+        self.r, self.x = r, x
+
+    def randrange(self, start, stop):
+        return self.r
+
+    def getrandbits(self, k):
+        return int.from_bytes(self.x, "big")
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)

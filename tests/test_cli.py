@@ -302,6 +302,8 @@ _BAD_CSVS = {
         ["keygen", "--scheme", "semecs", "-K", "0"],
         ["keygen", "--scheme", "eta", "-K", "-3"],
         ["keygen", "--scheme", "semecs", "--group", "toy", "-K", "4294967296"],
+        ["keygen", "--scheme", "eta", "-K", "4294967296"],
+        ["bench", "--scheme", "eta", "--iters", "2", "-K", "4294967296"],
         ["bench", "--scheme", "semecs", "--iters", "2", "-K", "0"],
         ["energy-report", "--profile", "avr-atmega2560", "--cycles", "-1"],
         ["energy-report", "--profile", "nrf24l01", "--cycles", "5"],

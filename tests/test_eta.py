@@ -16,6 +16,7 @@ from semecs.eta import (
 )
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 
+from conftest import FixedSource
 from oracles import eta_keygen_transcript, eta_sign_transcript
 
 FORCED_X = bytes(range(X_LEN))
@@ -58,7 +59,7 @@ def test_single_use_degenerates_to_one_time(rng):
 def test_sign_transcript_with_forced_x():
     state, pk = eta_keygen_from_secrets(TOY_GROUP, 3, y=3, r0=4)
     msg = b"eta-toy-message"
-    sig = eta_sign(state, msg, x=FORCED_X)
+    sig = eta_sign(state, msg, FixedSource(x=FORCED_X))
     expected = eta_sign_transcript(TOY_GROUP, 3, 4, 0, FORCED_X, msg)
     assert (sig.s, sig.x, sig.j) == (expected["s"], FORCED_X, 0)
     assert (expected["e"], expected["s"]) == (9, 10)  # golden
@@ -67,7 +68,7 @@ def test_sign_transcript_with_forced_x():
 
 def test_state_advances_and_drops_the_old_chain_value():
     state, _ = eta_keygen_from_secrets(TOY_GROUP, 3, y=3, r0=4)
-    eta_sign(state, b"m", x=FORCED_X)
+    eta_sign(state, b"m", FixedSource(x=FORCED_X))
     assert state.j == 1
     assert state.r_cur == 8  # H0(encode(4)), from the golden chain
     # structural forward security: the state holds nothing but (y, r_cur, j, K)

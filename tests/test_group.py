@@ -1,3 +1,4 @@
+import doctest
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from semecs.group import (
     PRODUCTION_GROUP,
     TOY_GROUP,
     GroupParams,
-    OpCounter,
     brute_force_dlog,
     count_group_ops,
     decode_element,
@@ -66,6 +66,38 @@ def test_generate_toy_group_is_a_deterministic_safe_prime_sieve():
     assert generate_toy_group(11) == GroupParams(p=23, q=11, alpha=4)
     with pytest.raises(ValueError):
         generate_toy_group(DLOG_ORACLE_BOUND + 1)
+
+
+@pytest.mark.parametrize(
+    "min_q, expected",
+    [
+        (5000, (10007, 5003, 4)),
+        (1 << 16, (131267, 65633, 4)),
+        (1 << 19, (1048703, 524351, 4)),
+    ],
+)
+def test_generate_toy_group_vectors(min_q, expected):
+    g = generate_toy_group(min_q)
+    assert (g.p, g.q, g.alpha) == expected
+
+
+def test_is_prime_agrees_with_a_sieve_below_2_16():
+    n = 1 << 16
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, 256):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, n, d))
+    assert [group._is_prime(k) for k in range(n)] == sieve
+
+
+@pytest.mark.parametrize("n", [561, 1105, 2047, 1373653, 25326001])
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert not group._is_prime(n)
+
+
+def test_docstring_examples_pass():
+    results = doctest.testmod(group)
+    assert results.failed == 0 and results.attempted >= 2
 
 
 # --- exponentiation ---------------------------------------------------------
@@ -228,8 +260,7 @@ def test_op_counter_is_exact(rng):
 
 
 def test_op_counter_reset_and_scoping():
-    outer = OpCounter()
-    with count_group_ops(outer):
+    with count_group_ops() as outer:
         exp(TOY_GROUP, 2, 3)
         with count_group_ops() as inner:
             exp(TOY_GROUP, 2, 3)

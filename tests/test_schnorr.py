@@ -18,6 +18,7 @@ from semecs.schnorr import (
     schnorr_verify,
 )
 
+from conftest import FixedSource
 from oracles import schnorr_transcript
 
 
@@ -40,7 +41,7 @@ def test_forced_transcript_matches_oracle():
     # y=3, r=4: R = 2^4 = 16, e = H0(M || 0x10), s = (4 - 3e) mod 11
     msg = b"schnorr-toy-message"
     kp = SchnorrKeyPair.from_private(TOY_GROUP, 3)
-    sig = schnorr_sign(kp, msg, nonce=4)
+    sig = schnorr_sign(kp, msg, FixedSource(r=4))
     expected = schnorr_transcript(TOY_GROUP, 3, 4, msg)
     assert sig.e == expected["e"] == 3
     assert sig.s == expected["s"] == 6
@@ -52,7 +53,7 @@ def test_verifier_recomputes_the_signer_commitment(rng):
     for _ in range(50):
         kp = schnorr_keygen(TOY_GROUP, rng)
         r = rng.randrange(1, TOY_GROUP.q)
-        sig = schnorr_sign(kp, b"identity", nonce=r)
+        sig = schnorr_sign(kp, b"identity", FixedSource(r=r))
         assert double_exp(TOY_GROUP, kp.Y, sig.e, sig.s) == exp(
             TOY_GROUP, TOY_GROUP.alpha, r
         )
