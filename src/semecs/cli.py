@@ -96,11 +96,8 @@ def _cmd_keygen(args, parser) -> int:
 
 def _cmd_sign(args, parser) -> int:
     sk_path = _default_path(args.sk, "key.sk", parser, "--sk")
-    try:
-        with open(args.infile, "rb") as fh:
-            message = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read message file: {exc}") from exc
+    with open(args.infile, "rb") as fh:
+        message = fh.read()
     record = keystore.load_state(sk_path)
     params = record.params
 
@@ -123,11 +120,8 @@ def _cmd_sign(args, parser) -> int:
         blob = envelope.to_bytes(params)
         index_note = f"index: {envelope.j} of K={state.K}"
 
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailure(f"cannot write envelope: {exc}") from exc
+    with open(args.out, "wb") as fh:
+        fh.write(blob)
     _log(index_note)
     overhead = len(blob) - len(message)
     _log(f"envelope: {len(blob)} octets, cryptographic overhead: {overhead} octets")
@@ -161,9 +155,6 @@ def _cmd_verify(args, parser) -> int:
             pk = keystore.semecs_public_from_record(record)
             envelope = semecs_mod.SignedEnvelope.from_bytes(params, blob)
             if args.no_index:
-                if pk.search_index is None:
-                    _log("this public key has colliding tokens; no search index")
-                    return EXIT_USAGE
                 ok, found_j, recovered = semecs_mod.semecs_verify_search(pk, envelope)
                 if ok:
                     _log(f"index recovered by search: {found_j}")
@@ -238,11 +229,8 @@ def _cmd_energy_report(args, parser) -> int:
         return EXIT_OK
     if args.source is None:
         parser.error("supply --from CSV or --cycles N")
-    try:
-        with open(args.source, newline="") as fh:
-            records = bench_mod.read_csv(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read bench CSV: {exc}") from exc
+    with open(args.source, newline="") as fh:
+        records = bench_mod.read_csv(fh)
     records = bench_mod.apply_energy(records, profile)
     _emit_records(records, args.csv, args.json)
     return EXIT_OK
@@ -334,7 +322,7 @@ def main(argv=None) -> int:
     except (EmptyMessage, UnsupportedCombo, MalformedEncoding, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
-    except SemecsError as exc:
+    except (SemecsError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_STATE
 

@@ -182,11 +182,17 @@ def atomic_write(path, data: bytes) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".smks.")
         try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+            try:
+                os.write(fd, data)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            # the temp file holds a copy of the record, secrets included
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         dirfd = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(dirfd)

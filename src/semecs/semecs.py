@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import hmac
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DuplicateBeta,
@@ -120,10 +120,10 @@ class SemecsSigningState:
 
 @dataclass(frozen=True)
 class SearchIndex:
-    """Permutation of token indices sorting the beta values ascending."""
+    """The key's own beta tokens plus the permutation that sorts them ascending."""
 
-    sorted_betas: tuple[bytes, ...]
-    order: tuple[int, ...]  # order[k] = original index of sorted_betas[k]
+    betas: Sequence[bytes]
+    order: tuple[int, ...]  # betas[order[k]] is the k-th smallest beta
 
     def lookup(self, beta: bytes) -> tuple[Optional[int], int]:
         """Binary-search a candidate beta.
@@ -133,11 +133,11 @@ class SearchIndex:
         comparisons.  Betas are public, but the equality leg still uses a
         constant-time compare out of hygiene.
         """
-        lo, hi = 0, len(self.sorted_betas) - 1
+        lo, hi = 0, len(self.order) - 1
         comparisons = 0
         while lo <= hi:
             mid = (lo + hi) // 2
-            probe = self.sorted_betas[mid]
+            probe = self.betas[self.order[mid]]
             comparisons += 1
             if hmac.compare_digest(probe, beta):
                 return self.order[mid], comparisons
@@ -148,18 +148,15 @@ class SearchIndex:
         return None, comparisons
 
 
-def build_search_index(betas) -> SearchIndex:
+def build_search_index(betas: Sequence[bytes]) -> SearchIndex:
     """Sort beta tokens for index-free verification.
 
     Raises :class:`DuplicateBeta` when two tokens collide -- binary search
     over the sorted values is then ambiguous and the key must be regenerated.
     """
-    order = tuple(sorted(range(len(betas)), key=lambda i: betas[i]))
-    sorted_betas = tuple(betas[i] for i in order)
-    for a, b in zip(sorted_betas, sorted_betas[1:]):
-        if a == b:
-            raise DuplicateBeta("verification tokens collide; regenerate the key")
-    return SearchIndex(sorted_betas=sorted_betas, order=order)
+    if len(set(betas)) != len(betas):
+        raise DuplicateBeta("verification tokens collide; regenerate the key")
+    return SearchIndex(betas, tuple(sorted(range(len(betas)), key=betas.__getitem__)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ class SemecsPublicKey:
 
     @functools.cached_property
     def search_index(self) -> Optional[SearchIndex]:
-        """The sorted betas, built on first search; None when two betas collide."""
+        """Built on the first search; None when two betas collide."""
         try:
             return build_search_index(self.betas)
         except DuplicateBeta:
@@ -319,32 +316,33 @@ def semecs_sign(state: SemecsSigningState, message: bytes) -> SignedEnvelope:
 # Verification and recovery
 # ---------------------------------------------------------------------------
 
-def _recover(
-    pk: SemecsPublicKey, j: int, env: SignedEnvelope, element_octets: bytes
-) -> Optional[bytes]:
-    h0, _ = fdh_pair(pk.params.q)
+def _verify(
+    pk: SemecsPublicKey, env: SignedEnvelope, j: Optional[int]
+) -> tuple[Optional[int], Optional[bytes]]:
+    """Verify at index j, or find j by search when j is None: (j, M) or (None, None).
+
+    Range checks on c, the padding flag and s precede every group operation.
+    """
+    params = pk.params
+    if len(env.c) != params.scalar_len or (env.padded and env.m_tilde):
+        return None, None
+    if not 0 <= env.s < params.q:
+        return None, None
+    e = envelope_challenge(params, env)
+    element_octets = encode_element(params, double_exp(params, pk.Y, e, env.s))
+    h0, h1 = fdh_pair(params.q)
+    candidate = h1.eval_encoded(element_octets)
+    if j is None:
+        j, _comparisons = pk.search_index.lookup(candidate)
+        if j is None:
+            return None, None
+    elif not hmac.compare_digest(candidate, pk.betas[j]):
+        return None, None
     m_bar = _xor(_xor(pk.gammas[j], h0.eval_encoded(element_octets)), env.c)
     try:
-        return join_message(m_bar, env.m_tilde, env.padded)
+        return j, join_message(m_bar, env.m_tilde, env.padded)
     except MalformedEncoding:
-        return None
-
-
-def _checks_and_commitment(
-    pk: SemecsPublicKey, env: SignedEnvelope
-) -> Optional[bytes]:
-    """Shared range checks plus recomputation of encode(R')."""
-    params = pk.params
-    if len(env.c) != params.scalar_len:
-        return None
-    if env.padded and env.m_tilde:
-        return None
-    if not 0 <= env.s < params.q:
-        return None
-    h0, _ = fdh_pair(params.q)
-    e = h0.eval(env.c + env.m_tilde)
-    big_r = double_exp(params, pk.Y, e, env.s)
-    return encode_element(params, big_r)
+        return None, None
 
 
 def semecs_verify_indexed(
@@ -357,14 +355,8 @@ def semecs_verify_indexed(
     """
     if env.j < 0 or env.j >= pk.K:
         return False, None
-    element_octets = _checks_and_commitment(pk, env)
-    if element_octets is None:
-        return False, None
-    _, h1 = fdh_pair(pk.params.q)
-    if not hmac.compare_digest(h1.eval_encoded(element_octets), pk.betas[env.j]):
-        return False, None
-    message = _recover(pk, env.j, env, element_octets)
-    return (True, message) if message is not None else (False, None)
+    j, message = _verify(pk, env, env.j)
+    return j is not None, message
 
 
 def semecs_verify_search(
@@ -378,16 +370,9 @@ def semecs_verify_search(
     recovery).  Returns (accepted, recovered index, recovered message).
     """
     if pk.search_index is None:
-        raise ValueError("public key carries no search index")
-    element_octets = _checks_and_commitment(pk, env)
-    if element_octets is None:
-        return False, None, None
-    _, h1 = fdh_pair(pk.params.q)
-    j, _comparisons = pk.search_index.lookup(h1.eval_encoded(element_octets))
-    if j is None:
-        return False, None, None
-    message = _recover(pk, j, env, element_octets)
-    return (True, j, message) if message is not None else (False, None, None)
+        raise ValueError("public key has colliding tokens; no search index")
+    j, message = _verify(pk, env, None)
+    return j is not None, j, message
 
 
 # ---------------------------------------------------------------------------

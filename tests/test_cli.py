@@ -311,7 +311,7 @@ _BAD_CSVS = {
         *(["energy-report", "--profile", "avr-atmega2560", "--from", name]
           for name in _BAD_CSVS),
     ],
-    ids=lambda argv: " ".join(argv[:1] + argv[3:]),
+    ids=" ".join,
 )
 def test_bad_numbers_and_bench_csvs_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -323,6 +323,37 @@ def test_bad_numbers_and_bench_csvs_are_usage_errors(tmp_path, monkeypatch, caps
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error: ")
     assert not (tmp_path / "key.sk").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--scheme", "schnorr", "--group", "toy", "--iters", "1",
+         "--csv", "missing/x.csv"],
+        ["bench", "--scheme", "schnorr", "--group", "toy", "--iters", "1",
+         "--json", "missing/x.json"],
+        ["energy-report", "--profile", "avr-atmega2560", "--from", "missing.csv"],
+        ["energy-report", "--profile", "avr-atmega2560", "--from", "good.csv",
+         "--json", "missing/x.json"],
+        ["sign", "--in", "missing.bin", "--out", "m.env"],
+        ["sign", "--in", "message.bin", "--out", "missing/m.env"],
+    ],
+    ids=" ".join,
+)
+def test_unreadable_or_unwritable_files_are_state_errors(
+    tmp_path, monkeypatch, capsys, msgfile, argv
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SEMECS_HOME", str(tmp_path))
+    _keygen(tmp_path)
+    (tmp_path / "good.csv").write_text(
+        ",".join(CSV_COLUMNS) + "\r\nsemecs,sign,5,1,1,1,0,0,38,,\r\n"
+    )
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 def test_energy_report_direct_cycles(capsys):

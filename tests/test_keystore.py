@@ -1,13 +1,21 @@
+import errno
 import hashlib
 import multiprocessing
 import os
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from semecs import keystore
-from semecs.errors import CorruptState, DuplicateBeta, StaleState, StatePersistFailure
+from semecs.errors import (
+    CorruptState,
+    DuplicateBeta,
+    IoFailure,
+    StaleState,
+    StatePersistFailure,
+)
 from semecs.eta import eta_keygen
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, GroupParams, generate_toy_group
 from semecs.keystore import (
@@ -266,6 +274,21 @@ def test_advance_counter_swaps_payload_atomically(tmp_path, big_toy, rng):
     advance_counter(path, 0, new_payload=new_payload)
     record = load_state(path)
     assert record.j == 1 and record.payload == new_payload
+
+
+@pytest.mark.parametrize("call", ["write", "fsync", "replace"])
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, call):
+    record, _, _ = _semecs_record(K=4)
+    path = tmp_path / "signer.sk"
+    save_state(path, record)
+    enospc = OSError(errno.ENOSPC, "No space left on device")
+    with mock.patch.object(os, call, side_effect=enospc):
+        with pytest.raises(IoFailure):
+            advance_counter(path, 0)
+    assert os.listdir(tmp_path) == ["signer.sk"]
+    assert load_state(path).j == 0
+    advance_counter(path, 0)
+    assert load_state(path).j == 1
 
 
 def test_open_semecs_signer_writes_through(tmp_path, big_toy):

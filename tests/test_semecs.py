@@ -268,6 +268,27 @@ def test_verify_rejects_padded_envelope_with_remainder(big_toy):
     assert semecs_verify_indexed(pk, bad) == (False, None)
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda env, q: replace(env, c=env.c + b"\x00"),
+        lambda env, q: replace(env, c=env.c[:-1]),
+        lambda env, q: replace(env, m_tilde=b"extra"),
+        lambda env, q: replace(env, s=q),
+        lambda env, q: replace(env, s=-1),
+    ],
+    ids=["c-long", "c-short", "padded-remainder", "s-q", "s-negative"],
+)
+def test_both_verifiers_refuse_out_of_range_envelopes_before_group_ops(big_toy, tamper):
+    state, pk = semecs_keygen_from_secret(big_toy, 4, y=21)
+    env = semecs_sign(state, b"xy")  # padded on this group (scalar_len = 3)
+    bad = tamper(env, big_toy.q)
+    with count_group_ops() as ops:
+        assert semecs_verify_indexed(pk, bad) == (False, None)
+        assert semecs_verify_search(pk, bad) == (False, None, None)
+    assert (ops.exp_count, ops.double_exp_count, ops.mul_count) == (0, 0, 0)
+
+
 # --- search-based verification ----------------------------------------------
 
 def test_search_recovers_the_index(big_toy, rng):
@@ -423,7 +444,7 @@ def test_build_search_index_matches_sort_oracle(rng):
     index = build_search_index(betas)
     oracle = sorted(range(16), key=lambda i: betas[i])
     assert list(index.order) == oracle
-    assert list(index.sorted_betas) == sorted(betas)
+    assert [betas[i] for i in index.order] == sorted(betas)
 
 
 def test_build_search_index_singleton_and_duplicates():
