@@ -202,6 +202,8 @@ def _cmd_bench(args, parser) -> int:
         parser.error("--iters must be >= 1")
     params = _group_for(args.group)
     schemes = bench_mod.SCHEMES if args.scheme == "all" else (args.scheme,)
+    for path in filter(None, (args.csv, args.json)):
+        open(path, "a").close()  # a bad destination fails before the benchmarks run
     records = []
     for scheme in schemes:
         for operation in bench_mod.OPERATIONS:

@@ -16,14 +16,16 @@ Every single power of the fixed generator alpha (key-generation commitments,
 Schnorr nonces) is read from a fixed-base table built once per group
 (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3): row i holds
 alpha^(d * 2^(6i)) for every 6-bit digit d, so alpha^k is one multiply per
-row.  Powers of any other base use CPython's ``pow``.
+row.  Powers of any other base use CPython's ``pow``, and so does the
+verifier's double exponentiation Y^e * alpha^s: it is two builtin powers, and
+only single powers of alpha read the table.
 
 Scalar arithmetic on the production path avoids value-dependent branching at
-the Python level, and every power of alpha does the same number of multiplies
-whatever the exponent.  The table is still indexed by secret digits, which
-is no worse than the sliding window inside CPython's ``pow`` but no better
-either; CPython big integers are not constant-time, so this is hygiene, not
-a hardened side-channel guarantee.
+the Python level, and every table power of alpha does the same number of
+multiplies whatever the exponent.  The table is still indexed by secret
+digits, which is no worse than the sliding window inside CPython's ``pow``
+but no better either; CPython big integers are not constant-time, so this is
+hygiene, not a hardened side-channel guarantee.
 """
 
 from __future__ import annotations
@@ -116,11 +118,6 @@ class OpCounter:
     double_exp_count: int = 0
     mul_count: int = 0
 
-    def reset(self) -> None:
-        self.exp_count = 0
-        self.double_exp_count = 0
-        self.mul_count = 0
-
     def total(self) -> int:
         return self.exp_count + self.double_exp_count + self.mul_count
 
@@ -171,29 +168,9 @@ def exp(params: GroupParams, base: int, k: int) -> int:
 
 
 def double_exp(params: GroupParams, big_y: int, e: int, s: int) -> int:
-    """Simultaneous double exponentiation Y^e * alpha^s mod p.
-
-    Evaluated in one interleaved square-and-multiply pass over both exponents
-    (Shamir's trick) with the product Y*alpha precomputed.  Equal to
-    exp(Y, e) * exp(alpha, s) mod p; the interleaving is an evaluation
-    strategy, not a contract change.
-    """
+    """Double exponentiation Y^e * alpha^s mod p, the verifier's one group operation."""
     _bump("double_exp_count")
-    p = params.p
-    g = params.alpha
-    both = big_y * g % p
-    acc = 1
-    for i in range(max(e.bit_length(), s.bit_length()) - 1, -1, -1):
-        acc = acc * acc % p
-        eb = (e >> i) & 1
-        sb = (s >> i) & 1
-        if eb and sb:
-            acc = acc * both % p
-        elif eb:
-            acc = acc * big_y % p
-        elif sb:
-            acc = acc * g % p
-    return acc
+    return pow(big_y, e, params.p) * pow(params.alpha, s, params.p) % params.p
 
 
 @functools.lru_cache(maxsize=8)

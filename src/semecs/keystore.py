@@ -183,7 +183,9 @@ def atomic_write(path, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".smks.")
         try:
             try:
-                os.write(fd, data)
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
                 os.fsync(fd)
             finally:
                 os.close(fd)

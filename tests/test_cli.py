@@ -353,6 +353,7 @@ def test_unreadable_or_unwritable_files_are_state_errors(
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert "benching" not in err  # bad bench destinations fail before any run
     assert err.splitlines()[-1].startswith("error: ")
 
 
