@@ -23,7 +23,6 @@ from .errors import (
     KeyExhausted,
     MalformedEncoding,
     NotExtractable,
-    OracleRefused,
     RngFailure,
     SemecsError,
     StaleState,
@@ -45,7 +44,6 @@ from .group import (
     TOY_GROUP,
     GroupParams,
     OpCounter,
-    brute_force_dlog,
     count_group_ops,
     decode_element,
     decode_scalar,

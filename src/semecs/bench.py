@@ -47,7 +47,6 @@ class EnergyProfile:
     name: str
     volts: float
     amps: float
-    clock_hz: Optional[float] = None
     nj_per_cycle: Optional[float] = None
     nj_per_bit: Optional[float] = None
 
@@ -68,7 +67,6 @@ def derive_profile(
         name=name,
         volts=volts,
         amps=amps,
-        clock_hz=clock_hz,
         nj_per_cycle=nj_per_cycle,
         nj_per_bit=nj_per_bit,
     )
@@ -81,7 +79,6 @@ AVR_ATMEGA2560 = EnergyProfile(
     name="avr-atmega2560",
     volts=5.0,
     amps=0.020,
-    clock_hz=16e6,
     nj_per_cycle=6.25,
     nj_per_bit=18.65,
 )

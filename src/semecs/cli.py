@@ -222,6 +222,8 @@ def _cmd_energy_report(args, parser) -> int:
             f"unknown profile {args.profile!r}; built-ins: "
             + ", ".join(sorted(bench_mod.PROFILES))
         )
+    if args.bits is not None and args.cycles is None:
+        parser.error("--bits needs --cycles")
     if args.cycles is not None:
         compute_mj, comm_uj = bench_mod.energy_compute(
             profile, cycles=args.cycles, bits_tx=args.bits or 0
@@ -229,8 +231,6 @@ def _cmd_energy_report(args, parser) -> int:
         print(f"compute_mJ: {compute_mj:.6g}")
         print(f"comm_uJ: {comm_uj:.6g}")
         return EXIT_OK
-    if args.source is None:
-        parser.error("supply --from CSV or --cycles N")
     with open(args.source, newline="") as fh:
         records = bench_mod.read_csv(fh)
     records = bench_mod.apply_energy(records, profile)
@@ -295,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy-report", help="convert work into energy estimates")
     p.add_argument("--profile", required=True, help="device profile name")
-    p.add_argument("--from", dest="source", default=None, help="bench CSV to annotate")
-    p.add_argument("--cycles", type=float, default=None, help="direct cycle count")
+    work = p.add_mutually_exclusive_group(required=True)
+    work.add_argument("--from", dest="source", default=None, help="bench CSV to annotate")
+    work.add_argument("--cycles", type=float, default=None, help="direct cycle count")
     p.add_argument("--bits", type=float, default=None, help="bits transmitted")
     p.add_argument("--csv", default=None, help="write annotated CSV here")
     p.add_argument("--json", default=None, help="write annotated JSON here")

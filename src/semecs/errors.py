@@ -9,10 +9,6 @@ class MalformedEncoding(SemecsError):
     """Octet string has the wrong length or decodes outside the valid range."""
 
 
-class OracleRefused(SemecsError):
-    """Brute-force discrete-log oracle invoked on a group above its search bound."""
-
-
 class RngFailure(SemecsError):
     """The caller-supplied randomness source failed."""
 

@@ -85,11 +85,11 @@ def eta_keygen_from_secrets(
     if not 1 <= y < params.q or not 1 <= r0 < params.q:
         raise ValueError("secrets must lie in [1, q-1]")
     h0, h1 = fdh_pair(params.q)
-    big_y = exp(params, params.alpha, y)
+    big_y = exp(params, y)
     tokens = []
     r = r0
     for _ in range(K):
-        big_r = exp(params, params.alpha, r)
+        big_r = exp(params, r)
         tokens.append(h1.eval_encoded(encode_element(params, big_r)))
         r = h0.eval(encode_scalar(params, r))  # chain step
     state = EtaSigningState(params=params, y=y, r_cur=r0, j=0, K=K)

@@ -5,8 +5,8 @@ cyclic group G of prime order q with generator alpha, realized here as the
 order-q subgroup of Z_p*.  Two interchangeable backends are provided:
 
 * ``TOY_GROUP`` (p=23, q=11, alpha=2) and anything produced by
-  :func:`generate_toy_group` -- small enough for exhaustive oracles such as
-  :func:`brute_force_dlog`.  Never for real security.
+  :func:`generate_toy_group` -- small enough for exhaustive test oracles.
+  Never for real security.
 * ``PRODUCTION_GROUP`` -- a fixed 256-bit prime-field group.  Scalars and
   elements encode to 32 octets, the sizes of a 256-bit elliptic curve, but
   its security is far below 128 bits: NIST SP 800-57 Part 1 Rev. 5, Table 2,
@@ -16,9 +16,9 @@ Every single power of the fixed generator alpha (key-generation commitments,
 Schnorr nonces) is read from a fixed-base table built once per group
 (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3): row i holds
 alpha^(d * 2^(6i)) for every 6-bit digit d, so alpha^k is one multiply per
-row.  Powers of any other base use CPython's ``pow``, and so does the
-verifier's double exponentiation Y^e * alpha^s: it is two builtin powers, and
-only single powers of alpha read the table.
+row.  The schemes need no single power of any other base.  The verifier's
+double exponentiation Y^e * alpha^s is two builtin ``pow`` calls; only single
+powers of alpha read the table.
 
 Scalar arithmetic on the production path avoids value-dependent branching at
 the Python level, and every table power of alpha does the same number of
@@ -37,9 +37,9 @@ import math
 import secrets
 from dataclasses import dataclass
 
-from .errors import MalformedEncoding, OracleRefused, RngFailure
+from .errors import MalformedEncoding, RngFailure
 
-#: Largest subgroup order the exhaustive discrete-log oracle will search.
+#: Largest subgroup order of a toy group, small enough for exhaustive search.
 DLOG_ORACLE_BOUND = 1 << 24
 
 #: Digit width of the fixed-base table for alpha: 43 rows of 64 entries
@@ -132,7 +132,7 @@ def count_group_ops():
     """Install a fresh :class:`OpCounter` for the dynamic extent of a ``with`` block.
 
     >>> with count_group_ops() as ops:
-    ...     exp(TOY_GROUP, 2, 4)
+    ...     exp(TOY_GROUP, 4)
     16
     >>> ops.exp_count
     1
@@ -155,16 +155,10 @@ def _bump(field: str) -> None:
 # Group and scalar operations
 # ---------------------------------------------------------------------------
 
-def exp(params: GroupParams, base: int, k: int) -> int:
-    """Single exponentiation base^k mod p.
-
-    Powers of the generator alpha come from the group's fixed-base table;
-    any other base goes through ``pow``.  Both give the same value.
-    """
+def exp(params: GroupParams, k: int) -> int:
+    """Single exponentiation alpha^k mod p, from the group's fixed-base table."""
     _bump("exp_count")
-    if base == params.alpha:
-        return _alpha_pow(params, k)
-    return pow(base, k, params.p)
+    return _alpha_pow(params, k)
 
 
 def double_exp(params: GroupParams, big_y: int, e: int, s: int) -> int:
@@ -223,29 +217,6 @@ def scalar_sub_mul(q: int, r: int, e: int, y: int) -> int:
     return (r - e * y) % q
 
 
-def is_group_element(params: GroupParams, value: int) -> bool:
-    """Membership test for the order-q subgroup (value in [1, p-1], value^q = 1)."""
-    return 1 <= value < params.p and pow(value, params.q, params.p) == 1
-
-
-def brute_force_dlog(params: GroupParams, big_y: int) -> int:
-    """Exhaustive discrete log: the y in [0, q-1] with alpha^y = Y mod p.
-
-    Test oracle only; refuses groups with q above ``DLOG_ORACLE_BOUND``.
-    """
-    if params.q > DLOG_ORACLE_BOUND:
-        raise OracleRefused(
-            f"exhaustive search refused: q has {params.q.bit_length()} bits "
-            f"(bound is 2^24)"
-        )
-    acc = 1
-    for k in range(params.q):
-        if acc == big_y:
-            return k
-        acc = acc * params.alpha % params.p
-    raise ValueError("value is not in the subgroup generated by alpha")
-
-
 # ---------------------------------------------------------------------------
 # Canonical encodings (fixed-length big-endian)
 # ---------------------------------------------------------------------------
@@ -283,7 +254,7 @@ def decode_element(params: GroupParams, data: bytes) -> int:
             f"element encoding must be {params.element_len} octets, got {len(data)}"
         )
     value = int.from_bytes(data, "big")
-    if not is_group_element(params, value):
+    if not (1 <= value < params.p and pow(value, params.q, params.p) == 1):
         raise MalformedEncoding("octets do not decode to a subgroup element")
     return value
 

@@ -65,7 +65,6 @@ class SignerStateRecord:
     """One key/state file worth of data, scheme-agnostic."""
 
     scheme_tag: int
-    group_id: int
     role: int
     params: GroupParams
     j: int
@@ -93,7 +92,7 @@ def serialize_record(record: SignerStateRecord) -> bytes:
         raise ValueError("counter j must lie in [0, K]")
     body = (
         MAGIC
-        + bytes([VERSION, record.scheme_tag, record.group_id, record.role])
+        + bytes([VERSION, record.scheme_tag, group_id_for(record.params), record.role])
         + _len16(record.params.p)
         + _len16(record.params.q)
         + _len16(record.params.alpha)
@@ -152,6 +151,8 @@ def parse_record(data: bytes) -> SignerStateRecord:
             params = GroupParams(p=p, q=q, alpha=alpha)
         except ValueError as exc:
             raise CorruptState(f"invalid group parameters: {exc}") from exc
+    if group_id != group_id_for(params):
+        raise CorruptState(f"group byte {group_id:#x} does not match the parameters")
     j = int.from_bytes(rd.take(8), "big")
     K = int.from_bytes(rd.take(8), "big")
     payload_len = int.from_bytes(rd.take(4), "big")
@@ -162,7 +163,6 @@ def parse_record(data: bytes) -> SignerStateRecord:
         raise CorruptState(f"counter j={j} exceeds capacity K={K}")
     return SignerStateRecord(
         scheme_tag=scheme_tag,
-        group_id=group_id,
         role=role,
         params=params,
         j=j,
@@ -273,7 +273,7 @@ def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) 
 def _record(
     tag: int, role: int, params: GroupParams, payload: bytes, j: int = 0, K: int = 0
 ) -> SignerStateRecord:
-    return SignerStateRecord(tag, group_id_for(params), role, params, j, K, payload)
+    return SignerStateRecord(tag, role, params, j, K, payload)
 
 
 def _payload(record: SignerStateRecord, tag: int, role: int, size: int) -> bytes:

@@ -36,7 +36,7 @@ class SchnorrKeyPair:
         """Deterministic constructor from the private scalar (test seam)."""
         if not 1 <= y < params.q:
             raise ValueError("private key must lie in [1, q-1]")
-        return cls(params=params, y=y, Y=exp(params, params.alpha, y))
+        return cls(params=params, y=y, Y=exp(params, y))
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def schnorr_sign(kp: SchnorrKeyPair, message: bytes, rng=None) -> SchnorrSignatu
     params = kp.params
     r = random_scalar(params, rng)
     h0, _ = fdh_pair(params.q)
-    big_r = exp(params, params.alpha, r)
+    big_r = exp(params, r)
     e = h0.eval(message + encode_element(params, big_r))
     s = scalar_sub_mul(params.q, r, e, kp.y)
     return SchnorrSignature(s=s, e=e)

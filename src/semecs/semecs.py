@@ -242,13 +242,13 @@ def semecs_keygen_from_secret(
     if not 1 <= y < params.q:
         raise ValueError("private key must lie in [1, q-1]")
     h0, h1 = fdh_pair(params.q)
-    big_y = exp(params, params.alpha, y)
+    big_y = exp(params, y)
     gammas = []
     betas = []
     for j in range(K):
         seed = _derivation_input(params, y, j)
         r_j = h0.eval(seed)
-        big_r = exp(params, params.alpha, r_j)
+        big_r = exp(params, r_j)
         z_j = h1.eval(seed)
         token_preimage = encode_element(params, big_r)
         gammas.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))

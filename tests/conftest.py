@@ -53,7 +53,7 @@ def zero_secret_record(request):
         "semecs_y": (keystore.SCHEME_SEMECS, keystore.ROLE_STATE, 2, zero),
     }[request.param]
     return keystore.SignerStateRecord(
-        scheme, keystore.GROUP_PRODUCTION, role, PRODUCTION_GROUP, 0, K, payload
+        scheme, role, PRODUCTION_GROUP, 0, K, payload
     )
 
 
@@ -67,6 +67,6 @@ def large_k_record(request):
         "semecs": (keystore.SCHEME_SEMECS, one),
     }[request.param]
     return keystore.SignerStateRecord(
-        scheme, keystore.GROUP_PRODUCTION, keystore.ROLE_STATE, PRODUCTION_GROUP,
+        scheme, keystore.ROLE_STATE, PRODUCTION_GROUP,
         1 << 32, 1 << 33, payload,
     )

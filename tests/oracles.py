@@ -109,3 +109,13 @@ def semecs_sign_transcript(params, y: int, j: int, message: bytes):
         "e": e,
         "s": s,
     }
+
+
+def brute_force_dlog(params, big_y: int) -> int:
+    """Exhaustive discrete log: the y in [0, q-1] with alpha^y = Y mod p."""
+    acc = 1
+    for k in range(params.q):
+        if acc == big_y:
+            return k
+        acc = acc * params.alpha % params.p
+    raise ValueError("value is not in the subgroup generated by alpha")

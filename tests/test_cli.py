@@ -1,11 +1,13 @@
 import hashlib
+import io
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from semecs import eta, keystore
-from semecs.bench import CSV_COLUMNS
+from semecs.bench import CSV_COLUMNS, read_csv
 from semecs.cli import main
 from semecs.eta import EtaSignature
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP
@@ -179,15 +181,15 @@ def test_inspect_shows_metadata_only(tmp_path, capsys):
     assert record.payload.hex() not in out  # never the secret itself
 
 
-def test_inspect_names_the_group_by_its_parameters(tmp_path, capsys):
-    # the group byte is not authenticated: the integrity tag is unkeyed
+def test_inspect_refuses_a_group_byte_that_contradicts_the_parameters(tmp_path, capsys):
+    # the integrity tag is unkeyed, so a retagged file carries a valid tag
+    kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 1)
+    body = bytearray(keystore.serialize_record(keystore.record_from_schnorr_key(kp))[:-32])
+    body[6] = keystore.GROUP_TOY
     path = tmp_path / "retagged.sk"
-    keystore.save_state(path, keystore.SignerStateRecord(
-        keystore.SCHEME_SCHNORR, keystore.GROUP_TOY, keystore.ROLE_SECRET,
-        PRODUCTION_GROUP, 0, 0, (1).to_bytes(PRODUCTION_GROUP.scalar_len, "big"),
-    ))
-    assert main(["inspect", str(path)]) == 0
-    assert "group: prod (|q| = 255 bits)" in capsys.readouterr().out
+    path.write_bytes(bytes(body) + hashlib.blake2s(bytes(body)).digest())
+    assert main(["inspect", str(path)]) == 3
+    assert "group byte 0x1 does not match" in capsys.readouterr().err
 
 
 def test_sign_with_zero_secret_is_a_state_error(tmp_path, msgfile, capsys,
@@ -363,6 +365,55 @@ def test_energy_report_direct_cycles(capsys):
     out = capsys.readouterr().out
     assert "compute_mJ: 1.2236" in out
     assert "comm_uJ: 4.7744" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--from", "missing.csv", "--cycles", "100"],
+        ["--from", "good.csv", "--bits", "99999"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_energy_report_takes_one_source_and_bits_only_with_cycles(
+    tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.csv").write_text(
+        ",".join(CSV_COLUMNS) + "\r\nsemecs,sign,5,1,1,1,0,0,38,,\r\n"
+    )
+    assert main(["energy-report", "--profile", "avr-atmega2560", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert ": error: " in captured.err.splitlines()[-1]  # argparse's "PROG: error: ..."
+
+
+def test_bench_and_energy_report_json(tmp_path, capsys):
+    bench_json, csv_path, energy_json = (
+        tmp_path / "bench.json", tmp_path / "bench.csv", tmp_path / "energy.json"
+    )
+    assert main(["bench", "--scheme", "schnorr", "--group", "toy", "--iters", "2",
+                 "--json", str(bench_json), "--csv", str(csv_path)]) == 0
+    payload = json.loads(bench_json.read_text())
+    assert payload["schema_version"] == 1
+    assert len(payload["records"]) == 3
+    assert all(tuple(rec) == CSV_COLUMNS for rec in payload["records"])
+
+    assert main(["energy-report", "--profile", "avr-atmega2560",
+                 "--from", str(csv_path), "--json", str(energy_json)]) == 0
+    records = json.loads(energy_json.read_text())["records"]
+    assert len(records) == 3
+    assert all(rec["compute_mJ"] is not None and rec["comm_uJ"] is not None
+               for rec in records)
+    capsys.readouterr()
+
+
+def test_bench_without_destination_writes_csv_to_stdout(capsys):
+    assert main(["bench", "--scheme", "schnorr", "--group", "toy", "--iters", "2"]) == 0
+    records = read_csv(io.StringIO(capsys.readouterr().out))
+    assert [rec.operation for rec in records] == ["keygen", "sign", "verify"]
+    assert {rec.scheme for rec in records} == {"schnorr"}
 
 
 def test_energy_report_unknown_profile(capsys):

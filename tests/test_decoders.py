@@ -126,7 +126,6 @@ def _records(draw):
     scheme, role = draw(st.one_of(st.sampled_from(_KINDS), any_kind))
     return keystore.SignerStateRecord(
         scheme_tag=scheme,
-        group_id=keystore.group_id_for(params),
         role=role,
         params=params,
         j=draw(st.integers(0, K)),

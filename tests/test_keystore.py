@@ -61,7 +61,6 @@ def test_record_round_trip_fuzz():
             scheme_tag=rnd.choice(
                 (keystore.SCHEME_SCHNORR, keystore.SCHEME_ETA, keystore.SCHEME_SEMECS)
             ),
-            group_id=rnd.choice((keystore.GROUP_TOY, keystore.GROUP_PRODUCTION)),
             role=rnd.choice(
                 (keystore.ROLE_SECRET, keystore.ROLE_PUBLIC, keystore.ROLE_STATE)
             ),
@@ -133,6 +132,21 @@ def test_unknown_tags_rejected():
     body[5] = 0x77  # scheme tag
     forged = bytes(body) + hashlib.blake2s(bytes(body)).digest()
     with pytest.raises(CorruptState):
+        parse_record(forged)
+
+
+@pytest.mark.parametrize(
+    "params,group_id",
+    [(PRODUCTION_GROUP, keystore.GROUP_TOY), (TOY_GROUP, keystore.GROUP_PRODUCTION),
+     (PRODUCTION_GROUP, 0x77)],
+    ids=["toy-byte-on-prod", "prod-byte-on-toy", "unknown-byte"],
+)
+def test_group_byte_must_match_the_parameters(params, group_id):
+    kp = SchnorrKeyPair.from_private(params, 3)
+    body = bytearray(serialize_record(keystore.record_from_schnorr_key(kp))[:-32])
+    body[6] = group_id
+    forged = bytes(body) + hashlib.blake2s(bytes(body)).digest()
+    with pytest.raises(CorruptState, match="group byte"):
         parse_record(forged)
 
 

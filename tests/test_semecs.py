@@ -378,7 +378,7 @@ def test_extraction_recovers_every_toy_key():
             pytest.fail("no distinct challenge found")
         recovered = extract_private_key(TOY_GROUP, (e_a, env_a.s), (e_b, env_b.s))
         assert recovered == y
-        assert exp(TOY_GROUP, TOY_GROUP.alpha, recovered) == pk.Y
+        assert exp(TOY_GROUP, recovered) == pk.Y
 
 
 def test_extraction_requires_distinct_challenges():
@@ -398,7 +398,7 @@ def test_extraction_on_production_group(rng):
         (envelope_challenge(PRODUCTION_GROUP, env_b), env_b.s),
     )
     assert recovered == y
-    assert exp(PRODUCTION_GROUP, PRODUCTION_GROUP.alpha, recovered) == pk.Y
+    assert exp(PRODUCTION_GROUP, recovered) == pk.Y
 
 
 # --- envelope wire format -----------------------------------------------------
