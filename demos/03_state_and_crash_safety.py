@@ -10,11 +10,11 @@ import tempfile
 from pathlib import Path
 
 from semecs import (
+    BIG_TOY_GROUP,
     KeyExhausted,
     StaleState,
     StatePersistFailure,
     advance_counter,
-    generate_toy_group,
     load_state,
     open_semecs_signer,
     save_state,
@@ -23,7 +23,7 @@ from semecs import (
 )
 from semecs.keystore import record_from_semecs_state
 
-params = generate_toy_group(1 << 19)
+params = BIG_TOY_GROUP
 workdir = Path(tempfile.mkdtemp())
 sk_path = workdir / "device.sk"
 

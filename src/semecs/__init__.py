@@ -40,6 +40,7 @@ from .eta import (
 )
 from .fdh import Fdh, fdh_pair
 from .group import (
+    BIG_TOY_GROUP,
     PRODUCTION_GROUP,
     TOY_GROUP,
     GroupParams,
@@ -51,7 +52,6 @@ from .group import (
     encode_element,
     encode_scalar,
     exp,
-    generate_toy_group,
     group_mul,
     random_scalar,
     scalar_sub_mul,

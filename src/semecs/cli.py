@@ -26,33 +26,18 @@ from .errors import (
     SemecsError,
     UnsupportedCombo,
 )
-from .group import PRODUCTION_GROUP, GroupParams, generate_toy_group
+from .group import BIG_TOY_GROUP, PRODUCTION_GROUP
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_STATE = 3
 
-#: The toy group the CLI generates keys in: big enough that beta tokens do
-#: not collide at practical K, small enough for the exhaustive test oracles.
-_CLI_TOY_MIN_Q = 1 << 19
+_GROUPS = {"toy": BIG_TOY_GROUP, "prod": PRODUCTION_GROUP}
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _group_for(name: str) -> GroupParams:
-    return PRODUCTION_GROUP if name == "prod" else generate_toy_group(_CLI_TOY_MIN_Q)
-
-
-def _default_path(value, filename: str, parser, flag: str):
-    if value is not None:
-        return value
-    home = os.environ.get("SEMECS_HOME")
-    if home:
-        return os.path.join(home, filename)
-    parser.error(f"{flag} is required (or set SEMECS_HOME)")
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +49,7 @@ def _cmd_keygen(args, parser) -> int:
         parser.error("--scheme schnorr does not take -K (not a K-time scheme)")
     if args.scheme in ("eta", "semecs") and args.K is None:
         parser.error(f"--scheme {args.scheme} requires -K")
-    prefix = _default_path(args.out_prefix, "key", parser, "--out-prefix")
-    params = _group_for(args.group)
+    params = _GROUPS[args.group]
     started = time.perf_counter()
     if args.scheme == "schnorr":
         kp = schnorr_mod.schnorr_keygen(params)
@@ -80,7 +64,7 @@ def _cmd_keygen(args, parser) -> int:
         sk_record = keystore.record_from_semecs_state(state)
         pk_record = keystore.record_from_semecs_public(pk)
     elapsed = time.perf_counter() - started
-    sk_path, pk_path = prefix + ".sk", prefix + ".pk"
+    sk_path, pk_path = args.out_prefix + ".sk", args.out_prefix + ".pk"
     keystore.save_state(sk_path, sk_record)
     keystore.save_state(pk_path, pk_record)
     _log(f"scheme: {args.scheme}  group: {args.group}  K: {args.K or '-'}")
@@ -95,10 +79,9 @@ def _cmd_keygen(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_sign(args, parser) -> int:
-    sk_path = _default_path(args.sk, "key.sk", parser, "--sk")
     with open(args.infile, "rb") as fh:
         message = fh.read()
-    record = keystore.load_state(sk_path)
+    record = keystore.load_state(args.sk)
     params = record.params
 
     if record.scheme_tag == keystore.SCHEME_SCHNORR:
@@ -111,11 +94,11 @@ def _cmd_sign(args, parser) -> int:
         sig = eta_mod.eta_sign(state, message)
         new_payload = keystore.record_from_eta_state(state).payload
         # durable advance before the envelope exists anywhere
-        keystore.advance_counter(sk_path, sig.j, new_payload=new_payload)
+        keystore.advance_counter(args.sk, sig.j, new_payload=new_payload)
         blob = eta_mod.encode_signed_message(params, sig, message)
         index_note = f"index: {sig.j} of K={state.K}"
     else:
-        state = keystore.open_semecs_signer(sk_path)
+        state = keystore.open_semecs_signer(args.sk)
         envelope = semecs_mod.semecs_sign(state, message)
         blob = envelope.to_bytes(params)
         index_note = f"index: {envelope.j} of K={state.K}"
@@ -133,9 +116,8 @@ def _cmd_sign(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args, parser) -> int:
-    pk_path = _default_path(args.pk, "key.pk", parser, "--pk")
     try:
-        record = keystore.load_state(pk_path)
+        record = keystore.load_state(args.pk)
         with open(args.env, "rb") as fh:
             blob = fh.read()
         params = record.params
@@ -200,7 +182,9 @@ def _cmd_inspect(args, parser) -> int:
 def _cmd_bench(args, parser) -> int:
     if args.iters < 1:
         parser.error("--iters must be >= 1")
-    params = _group_for(args.group)
+    if not 1 <= args.K <= semecs_mod.MAX_K:
+        raise ValueError(f"-K must lie in [1, {semecs_mod.MAX_K}]")
+    params = _GROUPS[args.group]
     schemes = bench_mod.SCHEMES if args.scheme == "all" else (args.scheme,)
     for path in filter(None, (args.csv, args.json)):
         open(path, "a").close()  # a bad destination fails before the benchmarks run
@@ -216,12 +200,7 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_energy_report(args, parser) -> int:
-    profile = bench_mod.PROFILES.get(args.profile)
-    if profile is None:
-        parser.error(
-            f"unknown profile {args.profile!r}; built-ins: "
-            + ", ".join(sorted(bench_mod.PROFILES))
-        )
+    profile = bench_mod.PROFILES[args.profile]
     if args.bits is not None and args.cycles is None:
         parser.error("--bits needs --cycles")
     if args.cycles is not None:
@@ -261,20 +240,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiple-time signature toolkit (Schnorr / ETA / SEMECS).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    home = os.environ.get("SEMECS_HOME")
+
+    def key_path(p, flag, filename, text):
+        if home:
+            p.add_argument(flag, default=os.path.join(home, filename),
+                           help=text + " (default: %(default)s)")
+        else:
+            p.add_argument(flag, required=True,
+                           help=text + " (required unless SEMECS_HOME is set)")
 
     p = sub.add_parser("keygen", help="generate a key pair")
+    p.set_defaults(run=_cmd_keygen, parser=p)
     p.add_argument("--scheme", required=True, choices=("schnorr", "eta", "semecs"))
-    p.add_argument("--group", default="prod", choices=("toy", "prod"))
+    p.add_argument("--group", default="prod", choices=_GROUPS)
     p.add_argument("-K", type=int, default=None, help="signature capacity")
-    p.add_argument("--out-prefix", default=None, help="writes PREFIX.sk and PREFIX.pk")
+    key_path(p, "--out-prefix", "key", "writes PREFIX.sk and PREFIX.pk")
 
     p = sub.add_parser("sign", help="sign a message file")
-    p.add_argument("--sk", default=None, help="signer state file")
+    p.set_defaults(run=_cmd_sign, parser=p)
+    key_path(p, "--sk", "key.sk", "signer state file")
     p.add_argument("--in", dest="infile", required=True, help="message file")
     p.add_argument("--out", required=True, help="envelope file to write")
 
     p = sub.add_parser("verify", help="verify an envelope and recover the message")
-    p.add_argument("--pk", default=None, help="public key file")
+    p.set_defaults(run=_cmd_verify, parser=p)
+    key_path(p, "--pk", "key.pk", "public key file")
     p.add_argument("--env", required=True, help="envelope file")
     p.add_argument(
         "--no-index",
@@ -283,18 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("inspect", help="show key/state file metadata")
+    p.set_defaults(run=_cmd_inspect, parser=p)
     p.add_argument("path")
 
     p = sub.add_parser("bench", help="run timing benchmarks")
+    p.set_defaults(run=_cmd_bench, parser=p)
     p.add_argument("--scheme", default="all", choices=("schnorr", "eta", "semecs", "all"))
-    p.add_argument("--group", default="prod", choices=("toy", "prod"))
+    p.add_argument("--group", default="prod", choices=_GROUPS)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("-K", type=int, default=16, help="capacity used by keygen benches")
     p.add_argument("--csv", default=None, help="write results to a CSV file")
     p.add_argument("--json", default=None, help="write results to a JSON file")
 
     p = sub.add_parser("energy-report", help="convert work into energy estimates")
-    p.add_argument("--profile", required=True, help="device profile name")
+    p.set_defaults(run=_cmd_energy_report, parser=p)
+    p.add_argument("--profile", required=True, choices=sorted(bench_mod.PROFILES),
+                   help="device profile name")
     work = p.add_mutually_exclusive_group(required=True)
     work.add_argument("--from", dest="source", default=None, help="bench CSV to annotate")
     work.add_argument("--cycles", type=float, default=None, help="direct cycle count")
@@ -305,21 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "keygen": _cmd_keygen,
-    "sign": _cmd_sign,
-    "verify": _cmd_verify,
-    "inspect": _cmd_inspect,
-    "bench": _cmd_bench,
-    "energy-report": _cmd_energy_report,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser)
+        return args.run(args, args.parser)
     except SystemExit as exc:  # argparse usage errors already printed
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (EmptyMessage, UnsupportedCombo, MalformedEncoding, ValueError) as exc:

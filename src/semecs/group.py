@@ -4,9 +4,9 @@ The schemes in this package are group-generic: everything is phrased over a
 cyclic group G of prime order q with generator alpha, realized here as the
 order-q subgroup of Z_p*.  Two interchangeable backends are provided:
 
-* ``TOY_GROUP`` (p=23, q=11, alpha=2) and anything produced by
-  :func:`generate_toy_group` -- small enough for exhaustive test oracles.
-  Never for real security.
+* ``TOY_GROUP`` (p=23, q=11, alpha=2), hand-checkable, and ``BIG_TOY_GROUP``
+  (p=1048703, q=524351, alpha=4), the CLI's ``--group toy`` -- small enough
+  for exhaustive test oracles.  Never for real security.
 * ``PRODUCTION_GROUP`` -- a fixed 256-bit prime-field group.  Scalars and
   elements encode to 32 octets, the sizes of a 256-bit elliptic curve, but
   its security is far below 128 bits: NIST SP 800-57 Part 1 Rev. 5, Table 2,
@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import math
 import secrets
 from dataclasses import dataclass
 
@@ -90,6 +89,11 @@ class GroupParams:
 
 #: Canonical hand-checkable test group.
 TOY_GROUP = GroupParams(p=23, q=11, alpha=2)
+
+#: The CLI's toy group: the smallest safe-prime group with q >= 2^19, alpha = 4.
+#: Big enough that beta tokens do not collide at practical K, small enough for
+#: the exhaustive test oracles.
+BIG_TOY_GROUP = GroupParams(p=1048703, q=524351, alpha=4)
 
 #: 256-bit safe-prime group (p = 2q + 1, q a 255-bit prime, alpha = 2^2 a
 #: quadratic residue, hence a generator of the order-q subgroup).  Found by a
@@ -286,31 +290,3 @@ def random_octets(n: int, rng=None) -> bytes:
         return source.getrandbits(8 * n).to_bytes(n, "big") if n else b""
     except Exception as exc:  # noqa: BLE001
         raise RngFailure("randomness source failed while drawing octets") from exc
-
-
-# ---------------------------------------------------------------------------
-# Toy-group generation (safe-prime sieve)
-# ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    # Exact trial division; toy sieving keeps n below 2^26, so at most 2^13 steps
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def generate_toy_group(min_q: int) -> GroupParams:
-    """Smallest safe-prime Schnorr group with subgroup order q >= min_q.
-
-    Sieves for the first prime q >= min_q with p = 2q + 1 also prime, and uses
-    alpha = 4 (a quadratic residue, hence of order q).  Deterministic, so test
-    suites get stable parameters.  Bounded by the dlog-oracle limit to keep
-    these groups firmly in test territory.
-    """
-    if min_q > DLOG_ORACLE_BOUND:
-        raise ValueError("toy groups must keep q within the exhaustive-search bound")
-    q = max(3, min_q) | 1
-    while True:
-        if _is_prime(q) and _is_prime(2 * q + 1):
-            if q > DLOG_ORACLE_BOUND:
-                raise ValueError("no safe prime within the toy bound")
-            return GroupParams(p=2 * q + 1, q=q, alpha=4)
-        q += 2

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from semecs import keystore
-from semecs.group import PRODUCTION_GROUP, TOY_GROUP, generate_toy_group
+from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP
 
 
 class FixedSource:
@@ -26,9 +26,7 @@ def rng():
 
 @pytest.fixture(scope="session")
 def big_toy():
-    # q = 524351, p = 1048703: large enough that beta tokens rarely collide,
-    # small enough for the exhaustive oracles
-    return generate_toy_group(1 << 19)
+    return BIG_TOY_GROUP
 
 
 @pytest.fixture(scope="session")

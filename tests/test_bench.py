@@ -17,7 +17,7 @@ from semecs.bench import (
     write_csv,
 )
 from semecs.errors import UnsupportedCombo
-from semecs.group import PRODUCTION_GROUP, TOY_GROUP
+from semecs.group import PRODUCTION_GROUP, TOY_GROUP, GroupParams
 
 
 # --- energy model -------------------------------------------------------------
@@ -123,10 +123,8 @@ def test_tx_bytes_follow_signature_overhead(group):
 
 
 def test_keygen_bench_counts_k_plus_one_exps():
-    from semecs.group import generate_toy_group
-
     keygen = run_bench(
-        "semecs", "keygen", generate_toy_group(1 << 16), iterations=2, K=4
+        "semecs", "keygen", GroupParams(p=131267, q=65633, alpha=4), iterations=2, K=4
     )
     assert keygen.tx_bytes == 0
     assert keygen.exp_ops == 5.0  # K commitments plus Y

@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -13,6 +15,8 @@ from semecs.eta import EtaSignature
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 from semecs.schnorr import SchnorrKeyPair
 from semecs.semecs import semecs_keygen_from_secret, semecs_sign
+
+from faults import ADVANCE_FAULTS, fails_on_call
 
 
 @pytest.fixture
@@ -68,6 +72,51 @@ def test_semecs_home_supplies_default_prefix(tmp_path, monkeypatch):
     assert (tmp_path / "key.sk").exists()
     monkeypatch.delenv("SEMECS_HOME")
     assert main(["keygen", "--scheme", "semecs", "--group", "toy", "-K", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keygen", "--scheme", "schnorr", "-K", "5", "--out-prefix", "x"],
+        ["keygen", "--scheme", "semecs", "--out-prefix", "x"],
+        ["verify", "--pk", "key.pk", "--env", "m.env", "--no-index"],
+        ["bench", "--iters", "0"],
+        ["energy-report", "--profile", "avr-atmega2560", "--from", "b.csv", "--bits", "1"],
+        ["energy-report", "--profile", "cray-1", "--cycles", "5"],
+        ["sign", "--in", "message.bin", "--out", "m.env"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_name_the_subcommand(tmp_path, monkeypatch, capsys, msgfile, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SEMECS_HOME", raising=False)
+    _keygen(tmp_path, scheme="schnorr", K=None)
+    assert main(["sign", "--sk", "key.sk", "--in", "message.bin", "--out", "m.env"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: semecs {argv[0]} ")
+    assert lines[-1].startswith(f"semecs {argv[0]}: error: ")
+
+
+_KEY_PATH_DEFAULTS = {"keygen": "key", "sign": "key.sk", "verify": "key.pk"}
+
+
+@pytest.mark.parametrize("home", [False, True], ids=["unset", "home"])
+@pytest.mark.parametrize(
+    "command", ["keygen", "sign", "verify", "inspect", "bench", "energy-report"]
+)
+def test_every_subcommand_help_exits_0(tmp_path, monkeypatch, capsys, command, home):
+    if home:
+        monkeypatch.setenv("SEMECS_HOME", str(tmp_path))
+    else:
+        monkeypatch.delenv("SEMECS_HOME", raising=False)
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: semecs {command} ")
+    if home and command in _KEY_PATH_DEFAULTS:
+        # argparse wraps long help lines, also at hyphens inside the path
+        assert str(tmp_path / _KEY_PATH_DEFAULTS[command]) in "".join(out.split())
 
 
 # --- sign / verify ----------------------------------------------------------
@@ -158,6 +207,43 @@ def test_repeat_signing_uses_fresh_indices(tmp_path, msgfile, capsys):
     assert envs[0] != envs[1]
     assert envs[0][1:5] == (0).to_bytes(4, "big")
     assert envs[1][1:5] == (1).to_bytes(4, "big")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("call", list(ADVANCE_FAULTS))
+@pytest.mark.parametrize("scheme", ["eta", "semecs"])
+def test_sign_fails_closed_on_each_advance_fault(tmp_path, msgfile, capsys, scheme, call):
+    prefix = _keygen(tmp_path, scheme=scheme, K=3)
+    env = tmp_path / "m.env"
+    argv = ["sign", "--sk", f"{prefix}.sk", "--in", str(msgfile), "--out", str(env)]
+    target, name, real, n, on_disk_j = ADVANCE_FAULTS[call]
+    advance = keystore.advance_counter
+
+    def faulty_advance(*args, **kwargs):
+        # only inside the advance: the CLI's own reads must not take the fault
+        with mock.patch.object(target, name, side_effect=fails_on_call(real, n)):
+            return advance(*args, **kwargs)
+
+    with mock.patch.object(keystore, "advance_counter", faulty_advance):
+        assert main(argv) == 3
+    assert not env.exists()
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".smks.")]
+    assert keystore.load_state(f"{prefix}.sk").j == on_disk_j
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert f"index: {on_disk_j} of K=3" in capsys.readouterr().err
+    assert main(["verify", "--pk", f"{prefix}.pk", "--env", str(env)]) == 0
+
+
+def test_schnorr_sign_never_advances_a_counter(tmp_path, msgfile, capsys):
+    prefix = _keygen(tmp_path, scheme="schnorr", K=None)
+    sk = Path(f"{prefix}.sk")
+    before = sk.read_bytes()
+    with mock.patch.object(keystore, "advance_counter") as advance:
+        assert main(["sign", "--sk", str(sk), "--in", str(msgfile),
+                     "--out", str(tmp_path / "m.env")]) == 0
+    advance.assert_not_called()
+    assert sk.read_bytes() == before
     capsys.readouterr()
 
 
@@ -307,6 +393,7 @@ _BAD_CSVS = {
         ["keygen", "--scheme", "eta", "-K", "4294967296"],
         ["bench", "--scheme", "eta", "--iters", "2", "-K", "4294967296"],
         ["bench", "--scheme", "semecs", "--iters", "2", "-K", "0"],
+        ["bench", "--scheme", "all", "--iters", "2", "-K", "0", "--csv", "out.csv"],
         ["energy-report", "--profile", "avr-atmega2560", "--cycles", "-1"],
         ["energy-report", "--profile", "nrf24l01", "--cycles", "5"],
         ["energy-report", "--profile", "avr-atmega2560", "--cycles", "5", "--bits", "-8"],
@@ -324,7 +411,9 @@ def test_bad_numbers_and_bench_csvs_are_usage_errors(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error: ")
+    assert "benching" not in err  # bench -K is checked before any run
     assert not (tmp_path / "key.sk").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,16 +8,15 @@ from hypothesis import given, settings, strategies as st
 from semecs import eta, keystore, schnorr
 from semecs.bench import CSV_COLUMNS, read_csv
 from semecs.errors import CorruptState, MalformedEncoding
-from semecs.group import PRODUCTION_GROUP, TOY_GROUP, generate_toy_group
+from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP
 from semecs.semecs import SignedEnvelope, semecs_keygen_from_secret
 
-BIG_TOY = generate_toy_group(1 << 19)
-GROUPS = st.sampled_from([TOY_GROUP, BIG_TOY, PRODUCTION_GROUP])
+GROUPS = st.sampled_from([TOY_GROUP, BIG_TOY_GROUP, PRODUCTION_GROUP])
 PROPERTY = settings(max_examples=200, deadline=None)
 
 
 def _sample_records():
-    state, pk = semecs_keygen_from_secret(BIG_TOY, 3, y=5)
+    state, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, 3, y=5)
     eta_state, eta_pk = eta.eta_keygen_from_secrets(PRODUCTION_GROUP, 2, 7, 11)
     kp = schnorr.SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
     return [

@@ -1,4 +1,5 @@
 import doctest
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from semecs import group
 from semecs.errors import MalformedEncoding, RngFailure
 from semecs.group import (
-    DLOG_ORACLE_BOUND,
+    BIG_TOY_GROUP,
     PRODUCTION_GROUP,
     TOY_GROUP,
     GroupParams,
@@ -18,7 +19,6 @@ from semecs.group import (
     encode_element,
     encode_scalar,
     exp,
-    generate_toy_group,
     group_mul,
     random_scalar,
     scalar_sub_mul,
@@ -57,43 +57,17 @@ def test_invalid_params_rejected(p, q, alpha):
         GroupParams(p=p, q=q, alpha=alpha)
 
 
-def test_generate_toy_group_is_a_deterministic_safe_prime_sieve():
-    g1 = generate_toy_group(1 << 19)
-    g2 = generate_toy_group(1 << 19)
-    assert g1 == g2
-    assert g1.p == 2 * g1.q + 1
-    assert g1.q >= 1 << 19
-    assert pow(g1.alpha, g1.q, g1.p) == 1
-    assert generate_toy_group(11) == GroupParams(p=23, q=11, alpha=4)
-    with pytest.raises(ValueError):
-        generate_toy_group(DLOG_ORACLE_BOUND + 1)
+def test_big_toy_group_is_the_smallest_safe_prime_group_past_2_19():
+    g = BIG_TOY_GROUP
+    assert g.p == 2 * g.q + 1 and g.alpha == 4 and g.is_toy
 
+    def is_prime(n):
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
 
-@pytest.mark.parametrize(
-    "min_q, expected",
-    [
-        (5000, (10007, 5003, 4)),
-        (1 << 16, (131267, 65633, 4)),
-        (1 << 19, (1048703, 524351, 4)),
-    ],
-)
-def test_generate_toy_group_vectors(min_q, expected):
-    g = generate_toy_group(min_q)
-    assert (g.p, g.q, g.alpha) == expected
-
-
-def test_is_prime_agrees_with_a_sieve_below_2_16():
-    n = 1 << 16
-    sieve = [False, False] + [True] * (n - 2)
-    for d in range(2, 256):
-        if sieve[d]:
-            sieve[d * d :: d] = [False] * len(range(d * d, n, d))
-    assert [group._is_prime(k) for k in range(n)] == sieve
-
-
-@pytest.mark.parametrize("n", [561, 1105, 2047, 1373653, 25326001])
-def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
-    assert not group._is_prime(n)
+    # GroupParams checks neither primality nor minimality; toy keys from CLIs
+    # that sieved for the first safe prime q >= 2^19 must load as this group
+    assert is_prime(g.q) and is_prime(g.p)
+    assert not any(is_prime(q) and is_prime(2 * q + 1) for q in range(1 << 19, g.q))
 
 
 def test_docstring_examples_pass():
@@ -160,7 +134,7 @@ def test_scalar_sub_mul_vectors():
 
 # --- fixed-base table for alpha ---------------------------------------------
 
-_COMB_GROUPS = [TOY_GROUP, generate_toy_group(5000), PRODUCTION_GROUP]
+_COMB_GROUPS = [TOY_GROUP, GroupParams(p=10007, q=5003, alpha=4), PRODUCTION_GROUP]
 _COMB_IDS = ["toy", "toy5000", "prod"]
 
 
@@ -200,9 +174,10 @@ def test_parsed_parameters_share_the_constant_table_entry():
 
 def test_alpha_table_cache_stays_bounded():
     maxsize = group._alpha_table.cache_info().maxsize
-    params = TOY_GROUP
-    for _ in range(maxsize + 4):
-        params = generate_toy_group(params.q + 1)
+    safe_qs = (23, 29, 41, 53, 83, 89, 113, 131, 173, 179, 191, 233)
+    assert len(safe_qs) > maxsize
+    for q in safe_qs:
+        params = GroupParams(p=2 * q + 1, q=q, alpha=4)
         assert exp(params, params.q - 2) == pow(params.alpha, -2, params.p)
     assert group._alpha_table.cache_info().currsize <= maxsize
     # the evicted constant rebuilds to the same table
@@ -258,7 +233,7 @@ def test_op_counter_scoping():
 # --- encodings --------------------------------------------------------------
 
 def test_scalar_encoding_round_trip(rng):
-    for params in (TOY_GROUP, PRODUCTION_GROUP, generate_toy_group(1 << 19)):
+    for params in (TOY_GROUP, PRODUCTION_GROUP, BIG_TOY_GROUP):
         for _ in range(200):
             x = rng.randrange(0, params.q)
             blob = encode_scalar(params, x)

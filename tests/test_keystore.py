@@ -1,12 +1,7 @@
-import builtins
-import errno
-import fcntl
 import hashlib
-import itertools
 import multiprocessing
 import os
 import random
-import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -21,7 +16,7 @@ from semecs.errors import (
     StatePersistFailure,
 )
 from semecs.eta import eta_keygen
-from semecs.group import PRODUCTION_GROUP, TOY_GROUP, GroupParams, generate_toy_group
+from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, GroupParams
 from semecs.keystore import (
     SignerStateRecord,
     advance_counter,
@@ -41,11 +36,11 @@ from semecs.semecs import (
     semecs_sign,
 )
 
+from faults import ADVANCE_FAULTS, fails_on_call, short_write
+
 
 def _semecs_record(params=None, K=4, y=5):
-    state, pk = semecs_keygen_from_secret(
-        params or generate_toy_group(1 << 19), K, y=y
-    )
+    state, pk = semecs_keygen_from_secret(params or BIG_TOY_GROUP, K, y=y)
     return keystore.record_from_semecs_state(state), state, pk
 
 
@@ -53,7 +48,7 @@ def _semecs_record(params=None, K=4, y=5):
 
 def test_record_round_trip_fuzz():
     rnd = random.Random(99)
-    groups = [TOY_GROUP, generate_toy_group(1 << 19), PRODUCTION_GROUP]
+    groups = [TOY_GROUP, BIG_TOY_GROUP, PRODUCTION_GROUP]
     for _ in range(10_000):
         params = groups[rnd.randrange(3)]
         K = rnd.randrange(0, 1 << 20)
@@ -294,47 +289,13 @@ def test_advance_counter_swaps_payload_atomically(tmp_path, big_toy, rng):
     assert record.j == 1 and record.payload == new_payload
 
 
-def _fails_on_call(real, n):
-    """A stand-in for ``real`` whose n-th call raises ENOSPC."""
-    calls = itertools.count(1)
-
-    def fake(*args, **kwargs):
-        if next(calls) == n:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real(*args, **kwargs)
-
-    return fake
-
-
-def _short_write(fd, data, _write=os.write):
-    """An ``os.write`` that stores at most 10 octets, as a nearly full disk can."""
-    return _write(fd, data[:10])
-
-
-# Each step of advance_counter fails in turn: (target, name, real callable,
-# failing call, on-disk j afterwards).  Every step before os.replace leaves j
-# at 0; the directory fsync fails after the new record is in place, so index 0
-# is burned.
-_ADVANCE_FAULTS = {
-    "dir_open": (os, "open", os.open, 1, 0),
-    "flock": (fcntl, "flock", fcntl.flock, 1, 0),
-    "load_open": (builtins, "open", open, 1, 0),
-    "mkstemp": (tempfile, "mkstemp", tempfile.mkstemp, 1, 0),
-    "write": (os, "write", os.write, 1, 0),
-    "short_write_enospc": (os, "write", _short_write, 2, 0),
-    "fsync": (os, "fsync", os.fsync, 1, 0),
-    "replace": (os, "replace", os.replace, 1, 0),
-    "dir_fsync": (os, "fsync", os.fsync, 2, 1),
-}
-
-
-@pytest.mark.parametrize("call", list(_ADVANCE_FAULTS))
+@pytest.mark.parametrize("call", list(ADVANCE_FAULTS))
 def test_failed_atomic_write_leaves_no_temp_file(tmp_path, call):
     record, _, _ = _semecs_record(K=4)
     path = tmp_path / "signer.sk"
     save_state(path, record)
-    target, name, real, n, on_disk_j = _ADVANCE_FAULTS[call]
-    with mock.patch.object(target, name, side_effect=_fails_on_call(real, n)):
+    target, name, real, n, on_disk_j = ADVANCE_FAULTS[call]
+    with mock.patch.object(target, name, side_effect=fails_on_call(real, n)):
         with pytest.raises(IoFailure):
             advance_counter(path, 0)
     assert os.listdir(tmp_path) == ["signer.sk"]
@@ -347,7 +308,7 @@ def test_short_writes_that_complete_leave_a_loadable_record(tmp_path):
     record, _, _ = _semecs_record(K=4)
     path = tmp_path / "signer.sk"
     save_state(path, record)
-    with mock.patch.object(os, "write", side_effect=_short_write):
+    with mock.patch.object(os, "write", side_effect=short_write):
         advance_counter(path, 0)
     assert os.listdir(tmp_path) == ["signer.sk"]
     assert load_state(path) == replace(record, j=1)
