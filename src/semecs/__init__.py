@@ -27,7 +27,6 @@ from .errors import (
     SemecsError,
     StaleState,
     StatePersistFailure,
-    UnsupportedCombo,
 )
 from .eta import (
     EtaPublicKey,

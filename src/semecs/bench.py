@@ -28,7 +28,7 @@ from typing import Optional, get_type_hints
 from . import eta as eta_mod
 from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
-from .errors import MalformedEncoding, UnsupportedCombo
+from .errors import MalformedEncoding
 from .group import GroupParams, count_group_ops, random_scalar
 
 CSV_SCHEMA_VERSION = 1
@@ -164,7 +164,7 @@ def run_bench(
     advances honestly.
     """
     if scheme not in SCHEMES or operation not in OPERATIONS:
-        raise UnsupportedCombo(f"no benchmark for {scheme}/{operation}")
+        raise ValueError(f"no benchmark for {scheme}/{operation}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     warmup = min(32, iterations)

@@ -18,14 +18,7 @@ from . import eta as eta_mod
 from . import keystore
 from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
-from .errors import (
-    CorruptState,
-    EmptyMessage,
-    IoFailure,
-    MalformedEncoding,
-    SemecsError,
-    UnsupportedCombo,
-)
+from .errors import DuplicateBeta, EmptyMessage, MalformedEncoding, SemecsError
 from .group import BIG_TOY_GROUP, PRODUCTION_GROUP
 
 EXIT_OK = 0
@@ -116,35 +109,29 @@ def _cmd_sign(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args, parser) -> int:
-    try:
-        record = keystore.load_state(args.pk)
-        with open(args.env, "rb") as fh:
-            blob = fh.read()
-        params = record.params
-        if args.no_index and record.scheme_tag != keystore.SCHEME_SEMECS:
-            parser.error("--no-index applies only to semecs keys")
-        if record.scheme_tag == keystore.SCHEME_SCHNORR:
-            big_y = keystore.schnorr_public_from_record(record)
-            sig, message = schnorr_mod.decode_signed_message(params, blob)
-            ok = schnorr_mod.schnorr_verify(params, big_y, message, sig)
-            recovered = message if ok else None
-        elif record.scheme_tag == keystore.SCHEME_ETA:
-            pk = keystore.eta_public_from_record(record)
-            sig, message = eta_mod.decode_signed_message(params, blob)
-            ok = eta_mod.eta_verify(pk, message, sig)
-            recovered = message if ok else None
+    record = keystore.load_state(args.pk)
+    with open(args.env, "rb") as fh:
+        blob = fh.read()
+    params = record.params
+    if args.no_index and record.scheme_tag != keystore.SCHEME_SEMECS:
+        parser.error("--no-index applies only to semecs keys")
+    if record.scheme_tag == keystore.SCHEME_SCHNORR:
+        big_y = keystore.schnorr_public_from_record(record)
+        sig, recovered = schnorr_mod.decode_signed_message(params, blob)
+        ok = schnorr_mod.schnorr_verify(params, big_y, recovered, sig)
+    elif record.scheme_tag == keystore.SCHEME_ETA:
+        pk = keystore.eta_public_from_record(record)
+        sig, recovered = eta_mod.decode_signed_message(params, blob)
+        ok = eta_mod.eta_verify(pk, recovered, sig)
+    else:
+        pk = keystore.semecs_public_from_record(record)
+        envelope = semecs_mod.SignedEnvelope.from_bytes(params, blob)
+        if args.no_index:
+            ok, found_j, recovered = semecs_mod.semecs_verify_search(pk, envelope)
+            if ok:
+                _log(f"index recovered by search: {found_j}")
         else:
-            pk = keystore.semecs_public_from_record(record)
-            envelope = semecs_mod.SignedEnvelope.from_bytes(params, blob)
-            if args.no_index:
-                ok, found_j, recovered = semecs_mod.semecs_verify_search(pk, envelope)
-                if ok:
-                    _log(f"index recovered by search: {found_j}")
-            else:
-                ok, recovered = semecs_mod.semecs_verify_indexed(pk, envelope)
-    except (CorruptState, IoFailure, MalformedEncoding, OSError) as exc:
-        _log(f"malformed input: {exc}")
-        return EXIT_USAGE
+            ok, recovered = semecs_mod.semecs_verify_indexed(pk, envelope)
 
     if not ok:
         _log("signature INVALID")
@@ -307,7 +294,7 @@ def main(argv=None) -> int:
         return args.run(args, args.parser)
     except SystemExit as exc:  # argparse usage errors already printed
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (EmptyMessage, UnsupportedCombo, MalformedEncoding, ValueError) as exc:
+    except (DuplicateBeta, EmptyMessage, MalformedEncoding, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
     except (SemecsError, OSError) as exc:

@@ -43,7 +43,3 @@ class StaleState(SemecsError):
 
 class IoFailure(SemecsError):
     """Underlying filesystem operation failed."""
-
-
-class UnsupportedCombo(SemecsError):
-    """Benchmark harness asked to measure an unknown scheme/operation pair."""

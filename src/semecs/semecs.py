@@ -155,7 +155,7 @@ def build_search_index(betas: Sequence[bytes]) -> SearchIndex:
     over the sorted values is then ambiguous and the key must be regenerated.
     """
     if len(set(betas)) != len(betas):
-        raise DuplicateBeta("verification tokens collide; regenerate the key")
+        raise DuplicateBeta("public key has colliding tokens; regenerate the key")
     return SearchIndex(betas, tuple(sorted(range(len(betas)), key=betas.__getitem__)))
 
 
@@ -171,12 +171,9 @@ class SemecsPublicKey:
         return len(self.betas)
 
     @functools.cached_property
-    def search_index(self) -> Optional[SearchIndex]:
-        """Built on the first search; None when two betas collide."""
-        try:
-            return build_search_index(self.betas)
-        except DuplicateBeta:
-            return None
+    def search_index(self) -> SearchIndex:
+        """Built on the first search; raises DuplicateBeta when two betas collide."""
+        return build_search_index(self.betas)
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,8 @@ def semecs_keygen_from_secret(
 
     Re-running with the same y reproduces a byte-identical public key.  On
     tiny toy groups, where scalar_len-octet betas can collide by pigeonhole,
-    the key's ``search_index`` is None; indexed verification still works.
+    the key's ``search_index`` raises DuplicateBeta; indexed verification
+    still works.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -268,7 +266,7 @@ def semecs_keygen(
     """
     for _ in range(INDEX_RETRY_BOUND):
         state, pk = semecs_keygen_from_secret(params, K, random_scalar(params, rng))
-        if pk.search_index is not None:
+        if len(set(pk.betas)) == K:
             return state, pk
     raise DuplicateBeta(
         f"beta tokens still collide after {INDEX_RETRY_BOUND} fresh keys; "
@@ -306,7 +304,7 @@ def semecs_sign(state: SemecsSigningState, message: bytes) -> SignedEnvelope:
             state.persist(j)
         except Exception as exc:  # noqa: BLE001 - any hook failure holds the signature
             raise StatePersistFailure(
-                f"could not durably advance the counter past index {j}"
+                f"could not durably advance the counter past index {j}: {exc}"
             ) from exc
     state.j = j + 1
     return envelope
@@ -368,9 +366,9 @@ def semecs_verify_search(
     and located among the sorted betas in at most ceil(log2 K) + 1
     comparisons; a hit fixes the index (and thus the gamma used for
     recovery).  Returns (accepted, recovered index, recovered message).
+    Raises DuplicateBeta, whatever the envelope, when the key's betas collide.
     """
-    if pk.search_index is None:
-        raise ValueError("public key has colliding tokens; no search index")
+    pk.search_index  # a colliding key raises here, before any envelope check
     j, message = _verify(pk, env, None)
     return j is not None, j, message
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from semecs import eta, keystore
+from semecs import cli, eta, keystore
 from semecs.bench import CSV_COLUMNS, read_csv
 from semecs.cli import main
 from semecs.eta import EtaSignature
@@ -226,10 +227,10 @@ def test_sign_fails_closed_on_each_advance_fault(tmp_path, msgfile, capsys, sche
 
     with mock.patch.object(keystore, "advance_counter", faulty_advance):
         assert main(argv) == 3
+    assert "No space left on device" in capsys.readouterr().err  # the cause is named
     assert not env.exists()
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".smks.")]
     assert keystore.load_state(f"{prefix}.sk").j == on_disk_j
-    capsys.readouterr()
     assert main(argv) == 0
     assert f"index: {on_disk_j} of K=3" in capsys.readouterr().err
     assert main(["verify", "--pk", f"{prefix}.pk", "--env", str(env)]) == 0
@@ -332,7 +333,7 @@ def test_sign_past_the_index_field_is_a_state_error(tmp_path, msgfile, capsys,
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_verify_with_capacity_zero_key_is_a_usage_error(tmp_path, capsys):
+def test_verify_with_capacity_zero_key_is_a_state_error(tmp_path, capsys):
     kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
     pk = tmp_path / "zero.pk"
     record = keystore.record_from_schnorr_public(PRODUCTION_GROUP, kp.Y)
@@ -341,7 +342,7 @@ def test_verify_with_capacity_zero_key_is_a_usage_error(tmp_path, capsys):
     env = tmp_path / "m.env"
     sig = EtaSignature(s=1, x=bytes(eta.X_LEN), j=0)
     env.write_bytes(eta.encode_signed_message(PRODUCTION_GROUP, sig, b"message"))
-    assert main(["verify", "--pk", str(pk), "--env", str(env)]) == 2
+    assert main(["verify", "--pk", str(pk), "--env", str(env)]) == 3
     assert "capacity" in capsys.readouterr().err
 
 
@@ -391,6 +392,8 @@ _BAD_CSVS = {
         ["keygen", "--scheme", "eta", "-K", "-3"],
         ["keygen", "--scheme", "semecs", "--group", "toy", "-K", "4294967296"],
         ["keygen", "--scheme", "eta", "-K", "4294967296"],
+        # 6000 betas below q = 524351 all differ with odds ~1e-15 per fresh key
+        ["keygen", "--scheme", "semecs", "--group", "toy", "-K", "6000"],
         ["bench", "--scheme", "eta", "--iters", "2", "-K", "4294967296"],
         ["bench", "--scheme", "semecs", "--iters", "2", "-K", "0"],
         ["bench", "--scheme", "all", "--iters", "2", "-K", "0", "--csv", "out.csv"],
@@ -428,6 +431,8 @@ def test_bad_numbers_and_bench_csvs_are_usage_errors(tmp_path, monkeypatch, caps
          "--json", "missing/x.json"],
         ["sign", "--in", "missing.bin", "--out", "m.env"],
         ["sign", "--in", "message.bin", "--out", "missing/m.env"],
+        ["verify", "--pk", "missing.pk", "--env", "m.env"],
+        ["verify", "--env", "missing.env"],
     ],
     ids=" ".join,
 )
@@ -508,6 +513,15 @@ def test_bench_without_destination_writes_csv_to_stdout(capsys):
 def test_energy_report_unknown_profile(capsys):
     assert main(["energy-report", "--profile", "cray-1", "--cycles", "5"]) == 2
     capsys.readouterr()
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(n for n in tree.body if getattr(n, "name", None) == "main")
+    in_main = set(map(id, ast.walk(main_def)))
+    stray = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, (ast.Try, getattr(ast, "TryStar", ast.Try))) and id(n) not in in_main]
+    assert stray == [], f"try statements outside main at lines {stray}"
 
 
 def test_unknown_flag_is_usage_error(capsys):

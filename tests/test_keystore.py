@@ -34,6 +34,7 @@ from semecs.semecs import (
     semecs_keygen,
     semecs_keygen_from_secret,
     semecs_sign,
+    semecs_verify_indexed,
 )
 
 from faults import ADVANCE_FAULTS, fails_on_call, short_write
@@ -302,6 +303,42 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path, call):
     assert load_state(path).j == on_disk_j
     advance_counter(path, on_disk_j)
     assert load_state(path).j == on_disk_j + 1
+
+
+@pytest.mark.parametrize("call", list(ADVANCE_FAULTS))
+def test_signer_hook_fails_closed_on_each_advance_fault(tmp_path, call):
+    state, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, 3, y=41)
+    path = tmp_path / "signer.sk"
+    save_state(path, keystore.record_from_semecs_state(state))
+    target, name, real, n, on_disk_j = ADVANCE_FAULTS[call]
+    advance = keystore.advance_counter
+
+    def faulty_advance(*args, **kwargs):
+        with mock.patch.object(target, name, side_effect=fails_on_call(real, n)):
+            return advance(*args, **kwargs)
+
+    signer = open_semecs_signer(path)
+    with mock.patch.object(keystore, "advance_counter", faulty_advance):
+        with pytest.raises(StatePersistFailure, match="No space left on device") as info:
+            semecs_sign(signer, b"held back")
+    assert isinstance(info.value.__cause__, IoFailure)
+    assert signer.j == 0
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".smks.")]
+    assert load_state(path).j == on_disk_j
+
+    released = []
+    if on_disk_j:
+        # index 0 is burned on disk; the stale handle must not release it
+        with pytest.raises(StatePersistFailure) as info:
+            semecs_sign(signer, b"stale handle")
+        assert isinstance(info.value.__cause__, StaleState)
+        assert signer.j == 0
+    else:
+        released.append(semecs_sign(signer, b"retried"))
+        assert released[-1].j == 0
+    released.append(semecs_sign(open_semecs_signer(path), b"fresh handle"))
+    assert released[-1].j == 1
+    assert all(semecs_verify_indexed(pk, env)[0] for env in released)
 
 
 def test_short_writes_that_complete_leave_a_loadable_record(tmp_path):

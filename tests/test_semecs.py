@@ -332,9 +332,12 @@ def test_search_rejects_forgeries(big_toy, rng):
 def test_search_requires_an_index():
     state, pk = semecs_keygen_from_secret(TOY_GROUP, 16, y=3)
     env = semecs_sign(state, b"no index here")
-    assert pk.search_index is None
-    with pytest.raises(ValueError):
-        semecs_verify_search(pk, env)
+    with pytest.raises(DuplicateBeta):
+        pk.search_index
+    # the key is refused before the envelope is looked at, even one with s >= q
+    for envelope in (env, replace(env, s=TOY_GROUP.q)):
+        with pytest.raises(DuplicateBeta):
+            semecs_verify_search(pk, envelope)
 
 
 def test_search_and_indexed_agree(big_toy, rng):
