@@ -1,8 +1,9 @@
 """Multiple-time digital-signature toolkit: Schnorr, ETA and SEMECS.
 
-SEMECS signs with two derivation hashes, one modular multiplication and one
-modular subtraction -- no group operation at all -- at the price of a public
-key linear in the signature capacity K.  See the README for the design tour.
+SEMECS signs with two derivation hashes, one hash of the message, one modular
+multiplication and one modular subtraction -- no group operation at all -- at
+the price of a public key linear in the signature capacity K.  See the README
+for the design tour.
 """
 
 from .bench import (

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -98,14 +99,16 @@ def energy_compute(
     """(computation mJ, communication uJ) for the given work.
 
     Exactly one of ``cycles`` (uses the per-cycle constant) or ``seconds``
-    (uses E = V * I * t directly) selects the computation input.
+    (uses E = V * I * t directly) selects the computation input; it and
+    ``bits_tx`` must be finite and non-negative.
     """
     if (cycles is None) == (seconds is None):
         raise ValueError("supply exactly one of cycles or seconds")
-    if (cycles is not None and cycles < 0) or (seconds is not None and seconds < 0):
-        raise ValueError("work must be non-negative")
-    if bits_tx < 0:
-        raise ValueError("bits_tx must be non-negative")
+    work = seconds if cycles is None else cycles
+    if not (math.isfinite(work) and work >= 0):
+        raise ValueError("work must be finite and non-negative")
+    if not (math.isfinite(bits_tx) and bits_tx >= 0):
+        raise ValueError("bits_tx must be finite and non-negative")
     if cycles is not None:
         if profile.nj_per_cycle is None:
             raise ValueError(f"profile {profile.name!r} has no per-cycle constant")

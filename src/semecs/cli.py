@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.set_defaults(run=_cmd_keygen, parser=p)
-    p.add_argument("--scheme", required=True, choices=("schnorr", "eta", "semecs"))
+    p.add_argument("--scheme", required=True, choices=bench_mod.SCHEMES)
     p.add_argument("--group", default="prod", choices=_GROUPS)
     p.add_argument("-K", type=int, default=None, help="signature capacity")
     key_path(p, "--out-prefix", "key", "writes PREFIX.sk and PREFIX.pk")
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run timing benchmarks")
     p.set_defaults(run=_cmd_bench, parser=p)
-    p.add_argument("--scheme", default="all", choices=("schnorr", "eta", "semecs", "all"))
+    p.add_argument("--scheme", default="all", choices=(*bench_mod.SCHEMES, "all"))
     p.add_argument("--group", default="prod", choices=_GROUPS)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("-K", type=int, default=16, help="capacity used by keygen benches")

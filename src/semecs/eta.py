@@ -13,6 +13,7 @@ the message hash use H0, verification tokens use H1.  Golden vectors pin this.
 from __future__ import annotations
 
 import hmac
+import threading
 from dataclasses import dataclass
 
 from .errors import KeyExhausted, MalformedEncoding
@@ -28,10 +29,9 @@ from .group import (
     random_scalar,
     scalar_sub_mul,
 )
+from .semecs import INDEX_LEN, MAX_K
 
 X_LEN = 16  # kappa = 128 bits of per-signature randomness
-INDEX_LEN = 4  # wire width of the index j; K is capped accordingly
-MAX_K = (1 << (8 * INDEX_LEN)) - 1
 ENVELOPE_VERSION = 1
 
 
@@ -39,9 +39,11 @@ ENVELOPE_VERSION = 1
 class EtaSigningState:
     """Mutable signer state: (y, current chain value, counter).
 
-    Single-writer: sign() mutates in place and must be externally serialized.
-    Previous chain values are dropped on advance and are not recoverable from
-    the fields kept here.
+    Threads may share one state: sign() holds ``lock`` while it mutates the
+    state in place.  Separate processes are serialized by the keystore's
+    directory ``flock``, and a stale handle fails with StaleState.  Previous
+    chain values are dropped on advance and are not recoverable from the
+    fields kept here.
     """
 
     params: GroupParams
@@ -49,6 +51,10 @@ class EtaSigningState:
     r_cur: int
     j: int
     K: int
+
+    def __post_init__(self) -> None:
+        # an attribute, not a field: never compared, shown or stored
+        self.lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -113,16 +119,17 @@ def eta_sign(state: EtaSigningState, message: bytes, rng=None) -> EtaSignature:
     drawn from ``rng``.  The state moves to r_{j+1} = H0(r_j) and the old
     chain value is dropped before returning.
     """
-    if state.j >= state.K:
-        raise KeyExhausted(f"all {state.K} indices consumed")
-    params = state.params
-    x = random_octets(X_LEN, rng)
-    h0, _ = fdh_pair(params.q)
-    e = h0.eval(message + _index_octets(state.j) + x)
-    s = scalar_sub_mul(params.q, state.r_cur, e, state.y)
-    sig = EtaSignature(s=s, x=x, j=state.j)
-    state.r_cur = h0.eval(encode_scalar(params, state.r_cur))
-    state.j += 1
+    with state.lock:
+        if state.j >= state.K:
+            raise KeyExhausted(f"all {state.K} indices consumed")
+        params = state.params
+        x = random_octets(X_LEN, rng)
+        h0, _ = fdh_pair(params.q)
+        e = h0.eval(message + _index_octets(state.j) + x)
+        s = scalar_sub_mul(params.q, state.r_cur, e, state.y)
+        sig = EtaSignature(s=s, x=x, j=state.j)
+        state.r_cur = h0.eval(encode_scalar(params, state.r_cur))
+        state.j += 1
     return sig
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
+import io
 import os
 import tempfile
 from dataclasses import dataclass, replace as _replace
@@ -104,42 +105,33 @@ def serialize_record(record: SignerStateRecord) -> bytes:
     return body + hashlib.blake2s(body).digest()
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptState("record truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def take_len16_int(self) -> int:
-        n = int.from_bytes(self.take(2), "big")
-        return int.from_bytes(self.take(n), "big")
-
-
 def parse_record(data: bytes) -> SignerStateRecord:
     if len(data) < _TAG_LEN:
         raise CorruptState("record truncated")
     body, tag = data[:-_TAG_LEN], data[-_TAG_LEN:]
     if hashlib.blake2s(body).digest() != tag:
         raise CorruptState("integrity tag mismatch")
-    rd = _Reader(body)
-    if rd.take(4) != MAGIC:
+    stream = io.BytesIO(body)
+
+    def take(n: int) -> bytes:
+        out = stream.read(n)
+        if len(out) < n:
+            raise CorruptState("record truncated")
+        return out
+
+    if take(4) != MAGIC:
         raise CorruptState("bad magic")
-    version, scheme_tag, group_id, role = rd.take(4)
+    version, scheme_tag, group_id, role = take(4)
     if version != VERSION:
         raise CorruptState(f"unsupported record version {version}")
     if scheme_tag not in SCHEME_NAMES:
         raise CorruptState(f"unknown scheme tag {scheme_tag:#x}")
     if role not in ROLE_NAMES:
         raise CorruptState(f"unknown role {role:#x}")
-    p = rd.take_len16_int()
-    q = rd.take_len16_int()
-    alpha = rd.take_len16_int()
+    # p, q and alpha: each a 2-octet length, then that many octets
+    p, q, alpha = (
+        int.from_bytes(take(int.from_bytes(take(2), "big")), "big") for _ in range(3)
+    )
     # GroupParams checks alpha^q = 1 with a pow whose cost grows with p;
     # only toy groups and the 256-bit production group are ever written,
     # and the production group is the validated constant itself
@@ -153,11 +145,10 @@ def parse_record(data: bytes) -> SignerStateRecord:
             raise CorruptState(f"invalid group parameters: {exc}") from exc
     if group_id != group_id_for(params):
         raise CorruptState(f"group byte {group_id:#x} does not match the parameters")
-    j = int.from_bytes(rd.take(8), "big")
-    K = int.from_bytes(rd.take(8), "big")
-    payload_len = int.from_bytes(rd.take(4), "big")
-    payload = rd.take(payload_len)
-    if rd.pos != len(body):
+    j = int.from_bytes(take(8), "big")
+    K = int.from_bytes(take(8), "big")
+    payload = take(int.from_bytes(take(4), "big"))
+    if stream.read():
         raise CorruptState("trailing bytes after payload")
     if j > K:
         raise CorruptState(f"counter j={j} exceeds capacity K={K}")

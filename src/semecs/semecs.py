@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import hmac
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -104,9 +105,12 @@ def _xor(a: bytes, b: bytes) -> bytes:
 class SemecsSigningState:
     """The signer's entire secret: y plus the monotone counter j.
 
-    Strictly single-writer.  When ``persist`` is set, sign() calls it with the
-    index about to be consumed and refuses to release the signature unless it
-    returns; wire it to the keystore's counter advancement for crash safety.
+    Threads may share one state: sign() holds ``lock`` from the capacity
+    check to the counter update.  Separate processes are serialized by the
+    keystore's directory ``flock``, and a stale handle fails with StaleState.
+    When ``persist`` is set, sign() calls it with the index about to be
+    consumed and refuses to release the signature unless it returns; wire it
+    to the keystore's counter advancement for crash safety.
     """
 
     params: GroupParams
@@ -116,6 +120,10 @@ class SemecsSigningState:
     persist: Optional[Callable[[int], None]] = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # an attribute, not a field: never compared, shown or stored
+        self.lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -286,27 +294,28 @@ def semecs_sign(state: SemecsSigningState, message: bytes) -> SignedEnvelope:
     the envelope is handed back; a crash in between burns the index, which is
     the safe failure mode (reuse would surrender the key).
     """
-    if state.j >= state.K:
-        raise KeyExhausted(f"all {state.K} indices consumed")
-    params = state.params
-    h0, h1 = fdh_pair(params.q)
-    j = state.j
-    m_bar, m_tilde, padded = split_message(message, params.scalar_len)
-    seed = _derivation_input(params, state.y, j)
-    r_j = h0.eval(seed)
-    z_j = h1.eval(seed)
-    c = _xor(m_bar, encode_scalar(params, z_j))
-    e = h0.eval(c + m_tilde)
-    s = scalar_sub_mul(params.q, r_j, e, state.y)
-    envelope = SignedEnvelope(j=j, padded=padded, s=s, c=c, m_tilde=m_tilde)
-    if state.persist is not None:
-        try:
-            state.persist(j)
-        except Exception as exc:  # noqa: BLE001 - any hook failure holds the signature
-            raise StatePersistFailure(
-                f"could not durably advance the counter past index {j}: {exc}"
-            ) from exc
-    state.j = j + 1
+    with state.lock:
+        if state.j >= state.K:
+            raise KeyExhausted(f"all {state.K} indices consumed")
+        params = state.params
+        h0, h1 = fdh_pair(params.q)
+        j = state.j
+        m_bar, m_tilde, padded = split_message(message, params.scalar_len)
+        seed = _derivation_input(params, state.y, j)
+        r_j = h0.eval(seed)
+        z_j = h1.eval(seed)
+        c = _xor(m_bar, encode_scalar(params, z_j))
+        e = h0.eval(c + m_tilde)
+        s = scalar_sub_mul(params.q, r_j, e, state.y)
+        envelope = SignedEnvelope(j=j, padded=padded, s=s, c=c, m_tilde=m_tilde)
+        if state.persist is not None:
+            try:
+                state.persist(j)
+            except Exception as exc:  # noqa: BLE001 - any hook failure holds the signature
+                raise StatePersistFailure(
+                    f"could not durably advance the counter past index {j}: {exc}"
+                ) from exc
+        state.j = j + 1
     return envelope
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +19,40 @@ class FixedSource:
 
     def getrandbits(self, k):
         return int.from_bytes(self.x, "big")
+
+
+def run_in_threads(work, threads=4, calls=500):
+    """Call ``work`` ``calls`` times on each of ``threads`` threads.
+
+    The interpreter switches threads every microsecond meanwhile, so a
+    read-modify-write that is not atomic interleaves.  Returns every result,
+    or re-raises the first exception a thread hit.
+    """
+    results, errors = [], []
+    start = threading.Barrier(threads, timeout=60)
+
+    def loop():
+        try:
+            start.wait()
+            for _ in range(calls):
+                results.append(work())
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=loop) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers), "a thread did not finish"
+    if errors:
+        raise errors[0]
+    return results
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -71,6 +72,25 @@ def test_energy_compute_input_validation():
         energy_compute(AVR_ATMEGA2560, cycles=-1)
     with pytest.raises(ValueError):
         energy_compute(NRF24L01, cycles=100)  # radio has no per-cycle constant
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            energy_compute(AVR_ATMEGA2560, cycles=bad)
+        with pytest.raises(ValueError):
+            energy_compute(AVR_ATMEGA2560, seconds=bad)
+        with pytest.raises(ValueError):
+            energy_compute(AVR_ATMEGA2560, cycles=1, bits_tx=bad)
+
+
+def test_energy_compute_bits_need_a_per_bit_constant():
+    cpu_only = derive_profile("cpu", volts=5.0, amps=0.020, clock_hz=16e6)
+    with pytest.raises(ValueError, match="per-bit"):
+        energy_compute(cpu_only, cycles=1, bits_tx=8)
+
+
+@pytest.mark.parametrize("volts, amps", [(0, 0.020), (5.0, 0), (-5.0, 0.020), (5.0, -0.020)])
+def test_derive_profile_needs_positive_volts_and_amps(volts, amps):
+    with pytest.raises(ValueError):
+        derive_profile("bad", volts=volts, amps=amps, clock_hz=16e6)
 
 
 def test_builtin_profiles_present():

@@ -382,6 +382,7 @@ _BAD_CSVS = {
     "columns.csv": b"a,b\r\n1,2\r\n",
     "number.csv": (",".join(CSV_COLUMNS) + "\r\nsemecs,sign,five,1,1,1,0,0,38,,\r\n").encode(),
     "utf8.csv": (",".join(CSV_COLUMNS) + "\r\nsemecs,sign,\xff\xfe,").encode("latin-1"),
+    "nan.csv": (",".join(CSV_COLUMNS) + "\r\nsemecs,sign,5,nan,1,1,0,0,38,,\r\n").encode(),
 }
 
 
@@ -400,6 +401,9 @@ _BAD_CSVS = {
         ["energy-report", "--profile", "avr-atmega2560", "--cycles", "-1"],
         ["energy-report", "--profile", "nrf24l01", "--cycles", "5"],
         ["energy-report", "--profile", "avr-atmega2560", "--cycles", "5", "--bits", "-8"],
+        ["energy-report", "--profile", "avr-atmega2560", "--cycles", "nan"],
+        ["energy-report", "--profile", "avr-atmega2560", "--cycles", "inf"],
+        ["energy-report", "--profile", "avr-atmega2560", "--cycles", "1", "--bits", "nan"],
         *(["energy-report", "--profile", "avr-atmega2560", "--from", name]
           for name in _BAD_CSVS),
     ],

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from semecs.errors import KeyExhausted, MalformedEncoding
+from semecs.errors import KeyExhausted, MalformedEncoding, RngFailure
 from semecs.eta import (
     INDEX_LEN,
     X_LEN,
@@ -16,7 +16,7 @@ from semecs.eta import (
 )
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 
-from conftest import FixedSource
+from conftest import FixedSource, run_in_threads
 from oracles import eta_keygen_transcript, eta_sign_transcript
 
 FORCED_X = bytes(range(X_LEN))
@@ -83,6 +83,26 @@ def test_exhaustion_after_k_signatures(rng):
         assert sig.j == i
     with pytest.raises(KeyExhausted):
         eta_sign(state, b"msg", rng)
+
+
+def test_threads_sharing_one_signer_release_each_index_once():
+    state, pk = eta_keygen_from_secrets(PRODUCTION_GROUP, 2000, y=0x5EC5, r0=0xE7A)
+    sigs = run_in_threads(lambda: eta_sign(state, b"one shared signer"))
+    assert len({sig.j for sig in sigs}) == len(sigs) == 2000
+    assert state.j == 2000
+    # each index signed with its own chain value, not a neighbour's
+    assert all(eta_verify(pk, b"one shared signer", sig) for sig in sigs)
+
+
+def test_broken_randomness_source_leaves_the_state_unchanged():
+    class Broken:
+        def getrandbits(self, k):
+            raise RuntimeError("no entropy")
+
+    state, _ = eta_keygen_from_secrets(TOY_GROUP, 3, y=3, r0=4)
+    with pytest.raises(RngFailure):
+        eta_sign(state, b"m", Broken())
+    assert (state.j, state.r_cur) == (0, 4)
 
 
 def test_fresh_randomizer_per_signature(rng):

@@ -57,6 +57,12 @@ def test_invalid_params_rejected(p, q, alpha):
         GroupParams(p=p, q=q, alpha=alpha)
 
 
+@pytest.mark.parametrize("p, q", [(23, 1), (2, 2)], ids=["q-below-2", "p-below-3"])
+def test_degenerate_group_sizes_rejected(p, q):
+    with pytest.raises(ValueError, match="out of range"):
+        GroupParams(p=p, q=q, alpha=2)
+
+
 def test_big_toy_group_is_the_smallest_safe_prime_group_past_2_19():
     g = BIG_TOY_GROUP
     assert g.p == 2 * g.q + 1 and g.alpha == 4 and g.is_toy
@@ -262,6 +268,12 @@ def test_element_encoding_round_trip_and_membership():
         decode_element(TOY_GROUP, b"\x00")
     with pytest.raises(MalformedEncoding):
         decode_element(TOY_GROUP, b"\x01\x02")
+
+
+def test_element_encoding_refuses_zero_and_p():
+    for value in (0, TOY_GROUP.p):
+        with pytest.raises(ValueError):
+            encode_element(TOY_GROUP, value)
 
 
 # --- randomness -------------------------------------------------------------

@@ -37,6 +37,7 @@ from semecs.semecs import (
     semecs_verify_indexed,
 )
 
+from conftest import run_in_threads
 from faults import ADVANCE_FAULTS, fails_on_call, short_write
 
 
@@ -129,6 +130,25 @@ def test_unknown_tags_rejected():
     forged = bytes(body) + hashlib.blake2s(bytes(body)).digest()
     with pytest.raises(CorruptState):
         parse_record(forged)
+
+
+def test_unknown_role_under_a_valid_tag_is_corrupt():
+    record, _, _ = _semecs_record()
+    body = bytearray(serialize_record(record)[:-32])
+    body[7] = 0x77  # role
+    forged = bytes(body) + hashlib.blake2s(bytes(body)).digest()
+    with pytest.raises(CorruptState, match="unknown role"):
+        parse_record(forged)
+
+
+@pytest.mark.parametrize(
+    "change", [{"scheme_tag": 0x77}, {"role": 0x77}, {"j": 5}],
+    ids=["scheme-tag", "role", "j-past-K"],
+)
+def test_serialize_refuses_unknown_tags_and_a_counter_past_capacity(change):
+    record, _, _ = _semecs_record(K=4)
+    with pytest.raises(ValueError):
+        serialize_record(replace(record, **change))
 
 
 @pytest.mark.parametrize(
@@ -443,6 +463,17 @@ def test_two_processes_never_release_one_index(tmp_path):
     assert not reused, f"indices released twice (index, key extracted): {reused}"
     assert load_state(path).j == len(released)
     assert len(released) + sum(lost for _, lost in outcomes) == 2 * _RACE_SIGNS
+
+
+def test_threads_sharing_one_signer_handle_release_each_index_once(tmp_path):
+    state, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, 40, y=41)
+    path = tmp_path / "signer.sk"
+    save_state(path, keystore.record_from_semecs_state(state))
+    signer = open_semecs_signer(path)
+    envs = run_in_threads(lambda: semecs_sign(signer, b"one shared handle"), calls=10)
+    assert len({env.j for env in envs}) == len(envs) == 40
+    assert load_state(path).j == 40
+    assert all(semecs_verify_indexed(pk, env)[0] for env in envs)
 
 
 # --- search index ------------------------------------------------------------

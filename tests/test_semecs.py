@@ -15,6 +15,7 @@ from semecs import semecs as semecs_mod
 from semecs.keystore import record_from_semecs_public, semecs_public_from_record
 from semecs.semecs import (
     ENVELOPE_HEADER_LEN,
+    SemecsSigningState,
     SignedEnvelope,
     build_search_index,
     envelope_challenge,
@@ -28,6 +29,7 @@ from semecs.semecs import (
     split_message,
 )
 
+from conftest import run_in_threads
 from oracles import semecs_keygen_transcript, semecs_sign_transcript
 
 
@@ -182,6 +184,13 @@ def test_exhaustion(big_toy):
     semecs_sign(state, b"two")
     with pytest.raises(KeyExhausted):
         semecs_sign(state, b"three")
+
+
+def test_threads_sharing_one_signer_release_each_index_once():
+    state = SemecsSigningState(PRODUCTION_GROUP, y=0x5EC5, j=0, K=2000)
+    envs = run_in_threads(lambda: semecs_sign(state, b"one shared signer"))
+    assert len({env.j for env in envs}) == len(envs) == 2000
+    assert state.j == 2000
 
 
 def test_persist_hook_failure_holds_the_signature(big_toy):
