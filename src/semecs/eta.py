@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hmac
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import KeyExhausted, MalformedEncoding
@@ -61,7 +62,7 @@ class EtaSigningState:
 class EtaPublicKey:
     params: GroupParams
     Y: int
-    tokens: tuple[bytes, ...]  # v_j = H1(R_j), one scalar_len digest per index
+    tokens: Sequence[bytes]  # v_j = H1(R_j), one scalar_len digest per index
 
     @property
     def K(self) -> int:

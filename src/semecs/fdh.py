@@ -14,9 +14,9 @@ so another one could not be told apart on load.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from hashlib import blake2s
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,13 @@ class Fdh:
             raise ValueError("hash_id selects H0 or H1")
         if self.q < 2:
             raise ValueError("q must be a prime >= 2")
+        nbits = 2 * self.q.bit_length()
+        nbytes = (nbits + 7) // 8
+        # one 4-octet counter per 32-octet digest of the expansion
+        counters = tuple(b.to_bytes(4, "big") for b in range(-(-nbytes // 32)))
+        # an attribute, not a field: derived from q and hash_id, never compared
+        expansion = (bytes([self.hash_id]), nbytes, 8 * nbytes - nbits, counters)
+        object.__setattr__(self, "_expansion", expansion)
 
     @property
     def scalar_len(self) -> int:
@@ -38,18 +45,11 @@ class Fdh:
 
     def eval(self, message: bytes) -> int:
         """Deterministically hash an octet string into [1, q-1]."""
-        prefix = bytes([self.hash_id])
-        nbits = 2 * self.q.bit_length()
-        nbytes = (nbits + 7) // 8
-        data = bytes(message)
+        prefix, nbytes, shift, counters = self._expansion
+        data = prefix + bytes(message)
         while True:
-            stream = b""
-            block = 0
-            while len(stream) < nbytes:
-                stream += hashlib.blake2s(prefix + data + block.to_bytes(4, "big")).digest()
-                block += 1
-            value = int.from_bytes(stream[:nbytes], "big") >> (8 * nbytes - nbits)
-            value %= self.q
+            stream = b"".join([blake2s(data + c).digest() for c in counters])
+            value = (int.from_bytes(stream[:nbytes], "big") >> shift) % self.q
             if value:
                 return value
             data += b"\xff"  # zero residue: re-derive

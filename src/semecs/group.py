@@ -12,13 +12,13 @@ order-q subgroup of Z_p*.  Two interchangeable backends are provided:
   its security is far below 128 bits: NIST SP 800-57 Part 1 Rev. 5, Table 2,
   asks for a 3072-bit p at that level.
 
-Every single power of the fixed generator alpha (key-generation commitments,
-Schnorr nonces) is read from a fixed-base table built once per group
+Every power of the fixed generator alpha (key-generation commitments,
+Schnorr nonces, and the alpha^s half of the verifier's double exponentiation)
+is read from a fixed-base table built once per group
 (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3): row i holds
 alpha^(d * 2^(6i)) for every 6-bit digit d, so alpha^k is one multiply per
-row.  The schemes need no single power of any other base.  The verifier's
-double exponentiation Y^e * alpha^s is two builtin ``pow`` calls; only single
-powers of alpha read the table.
+row.  The schemes need no single power of any other base; the Y^e half of
+the double exponentiation Y^e * alpha^s is a builtin ``pow``.
 
 Scalar arithmetic on the production path avoids value-dependent branching at
 the Python level, and every table power of alpha does the same number of
@@ -168,7 +168,7 @@ def exp(params: GroupParams, k: int) -> int:
 def double_exp(params: GroupParams, big_y: int, e: int, s: int) -> int:
     """Double exponentiation Y^e * alpha^s mod p, the verifier's one group operation."""
     _bump("double_exp_count")
-    return pow(big_y, e, params.p) * pow(params.alpha, s, params.p) % params.p
+    return pow(big_y, e, params.p) * _alpha_pow(params, s) % params.p
 
 
 @functools.lru_cache(maxsize=8)

@@ -357,7 +357,7 @@ def eta_public_from_record(record: SignerStateRecord) -> eta_mod.EtaPublicKey:
     params = record.params
     L, elen = params.scalar_len, params.element_len
     payload = _payload(record, SCHEME_ETA, ROLE_PUBLIC, elen + record.K * L)
-    tokens = tuple(payload[off : off + L] for off in range(elen, len(payload), L))
+    tokens = semecs_mod.Tokens(payload, elen, L, L, record.K)
     return eta_mod.EtaPublicKey(params, _element(params, payload[:elen]), tokens)
 
 
@@ -381,16 +381,18 @@ def record_from_semecs_public(pk: semecs_mod.SemecsPublicKey) -> SignerStateReco
 
 
 def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPublicKey:
-    """Rebuild the public key; its search index is built on first search."""
+    """Rebuild the public key, viewing the payload's tokens in place.
+
+    Its search index is built on first search.
+    """
     params = record.params
-    L, elen = params.scalar_len, params.element_len
-    payload = _payload(record, SCHEME_SEMECS, ROLE_PUBLIC, elen + 2 * record.K * L)
-    offsets = range(elen, len(payload), 2 * L)
+    L, elen, K = params.scalar_len, params.element_len, record.K
+    payload = _payload(record, SCHEME_SEMECS, ROLE_PUBLIC, elen + 2 * K * L)
     return semecs_mod.SemecsPublicKey(
         params,
         _element(params, payload[:elen]),
-        tuple(payload[off : off + L] for off in offsets),
-        tuple(payload[off + L : off + 2 * L] for off in offsets),
+        semecs_mod.Tokens(payload, elen, 2 * L, L, K),
+        semecs_mod.Tokens(payload, elen + L, 2 * L, L, K),
     )
 
 

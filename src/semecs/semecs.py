@@ -28,8 +28,9 @@ from __future__ import annotations
 import functools
 import hmac
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (
     DuplicateBeta,
@@ -101,6 +102,41 @@ def _xor(a: bytes, b: bytes) -> bytes:
 # Types
 # ---------------------------------------------------------------------------
 
+class Tokens(Sequence):
+    """A read-only view of n tokens of ``width`` octets, one every ``stride`` octets.
+
+    Public keys hold their tokens this way, so that a key loaded from a record
+    views the record's payload instead of copying K tokens out of it.  Equal,
+    and hashes equal, to the tuple of its tokens.
+    """
+
+    __slots__ = ("buffer", "start", "stride", "width", "n")
+
+    def __init__(self, buffer: bytes, start: int, stride: int, width: int, n: int):
+        self.buffer, self.start, self.stride = buffer, start, stride
+        self.width, self.n = width, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> bytes:
+        off = self.start + range(self.n)[i] * self.stride
+        return self.buffer[off : off + self.width]
+
+    def __iter__(self):
+        buf, width = self.buffer, self.width
+        for off in range(self.start, self.start + self.n * self.stride, self.stride):
+            yield buf[off : off + width]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass
 class SemecsSigningState:
     """The signer's entire secret: y plus the monotone counter j.
@@ -171,8 +207,8 @@ def build_search_index(betas: Sequence[bytes]) -> SearchIndex:
 class SemecsPublicKey:
     params: GroupParams
     Y: int
-    gammas: tuple[bytes, ...]
-    betas: tuple[bytes, ...]
+    gammas: Sequence[bytes]
+    betas: Sequence[bytes]
 
     @property
     def K(self) -> int:
@@ -249,17 +285,18 @@ def semecs_keygen_from_secret(
         raise ValueError("private key must lie in [1, q-1]")
     h0, h1 = fdh_pair(params.q)
     big_y = exp(params, y)
-    gammas = []
-    betas = []
+    tokens = []  # gamma_0, beta_0, gamma_1, beta_1, ...
     for j in range(K):
         seed = _derivation_input(params, y, j)
         r_j = h0.eval(seed)
         big_r = exp(params, r_j)
         z_j = h1.eval(seed)
         token_preimage = encode_element(params, big_r)
-        gammas.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))
-        betas.append(h1.eval_encoded(token_preimage))
-    pk = SemecsPublicKey(params, big_y, tuple(gammas), tuple(betas))
+        tokens.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))
+        tokens.append(h1.eval_encoded(token_preimage))
+    buf, L = b"".join(tokens), params.scalar_len
+    gammas, betas = Tokens(buf, 0, 2 * L, L, K), Tokens(buf, L, 2 * L, L, K)
+    pk = SemecsPublicKey(params, big_y, gammas, betas)
     return SemecsSigningState(params=params, y=y, j=0, K=K), pk
 
 

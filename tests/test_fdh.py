@@ -44,6 +44,22 @@ def test_matches_independent_oracle(params, rng):
         assert h1.eval(msg) == oracle_fdh(params.q, 1, msg)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [2, 11, 2**127 - 1, 2**130 - 5, PRODUCTION_GROUP.q, 2**521 - 1],
+    ids=["2", "11", "2^127-1", "2^130-5", "prod", "2^521-1"],
+)
+def test_matches_oracle_across_expansion_lengths(q, rng):
+    # 1, 1, 1, 2, 2 and 5 BLAKE2s digests per pass; 2^127 - 1 fills one digest
+    # exactly and 2^130 - 5 spills one octet into a second.  q = 2 and q = 11
+    # hit the zero-residue re-derivation often.
+    h0, h1 = Fdh(q, 0), Fdh(q, 1)
+    for _ in range(200):
+        msg = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 80)))
+        assert h0.eval(msg) == oracle_fdh(q, 0, msg)
+        assert h1.eval(msg) == oracle_fdh(q, 1, msg)
+
+
 @pytest.mark.parametrize("params", [TOY_GROUP, PRODUCTION_GROUP], ids=["toy", "prod"])
 def test_output_always_in_z_q_star(params):
     # deterministic corpus; 10^5 inputs per backend

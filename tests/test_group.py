@@ -97,14 +97,15 @@ def test_double_exp_toy_vectors():
 
 @pytest.mark.parametrize("params", [TOY_GROUP, PRODUCTION_GROUP], ids=["toy", "prod"])
 def test_double_exp_matches_product_of_single_exps(params, rng):
-    # oracle: Y^e by pow() times alpha^s from the fixed-base table
+    # oracle: two builtin pow() calls, so the alpha table is not checked
+    # against itself
     edges = [0, 1, params.q - 1]
     cases = [(e, s) for e in edges for s in edges]
     for _ in range(1000):
         cases.append((rng.randrange(0, params.q), rng.randrange(0, params.q)))
     for e, s in cases:
         y = pow(params.alpha, rng.randrange(1, params.q), params.p)
-        expected = pow(y, e, params.p) * exp(params, s) % params.p
+        expected = pow(y, e, params.p) * pow(params.alpha, s, params.p) % params.p
         assert double_exp(params, y, e, s) == expected
 
 
@@ -164,6 +165,14 @@ def test_alpha_table_matches_pow_property(data):
 def test_alpha_powers_take_the_table_path():
     before = group._alpha_table.cache_info()
     exp(PRODUCTION_GROUP, 12345)
+    after = group._alpha_table.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+def test_double_exp_reads_alpha_s_from_the_table():
+    big_y = exp(PRODUCTION_GROUP, 7)
+    before = group._alpha_table.cache_info()
+    double_exp(PRODUCTION_GROUP, big_y, 12345, 67890)
     after = group._alpha_table.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
 

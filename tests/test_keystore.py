@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -243,6 +244,22 @@ def test_semecs_record_round_trip(big_toy, rng):
     assert (restored.y, restored.j, restored.K) == (state.y, state.j, state.K)
     pk2 = keystore.semecs_public_from_record(keystore.record_from_semecs_public(pk))
     assert pk2 == pk
+
+
+def test_loaded_semecs_public_key_views_its_payload():
+    # a K = 1024 production key's payload is 65 568 octets; 2K token objects
+    # of 32 octets each would keep about 150 KB beyond it
+    _, pk = semecs_keygen_from_secret(PRODUCTION_GROUP, 1024, y=0xACE0FBA5E)
+    record = keystore.record_from_semecs_public(pk)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = keystore.semecs_public_from_record(record)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loaded == pk
+    assert kept < 4096, f"loading the key kept {kept} octets"
 
 
 def test_semecs_public_file_size_formula(tmp_path):

@@ -12,11 +12,16 @@ from semecs.errors import (
 )
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
 from semecs import semecs as semecs_mod
-from semecs.keystore import record_from_semecs_public, semecs_public_from_record
+from semecs.keystore import (
+    record_from_semecs_public,
+    semecs_public_from_record,
+    serialize_record,
+)
 from semecs.semecs import (
     ENVELOPE_HEADER_LEN,
     SemecsSigningState,
     SignedEnvelope,
+    Tokens,
     build_search_index,
     envelope_challenge,
     extract_private_key,
@@ -487,3 +492,38 @@ def test_search_index_is_built_on_the_first_search_only(big_toy, monkeypatch):
     assert len(built) == 1
     assert semecs_verify_search(loaded, envs[1])[:2] == (True, 1)
     assert len(built) == 1
+
+
+# --- token views ------------------------------------------------------------
+
+def test_tokens_view_behaves_like_the_tuple_of_its_tokens():
+    buf = bytes(range(40))
+    view = Tokens(buf, 3, 5, 2, 7)  # 2-octet tokens at offsets 3, 8, ..., 33
+    oracle = tuple(buf[off : off + 2] for off in range(3, 38, 5))
+    assert len(view) == len(oracle) == 7
+    assert tuple(view) == oracle
+    for i in range(-7, 7):
+        assert view[i] == oracle[i]
+    for i in (7, -8):
+        with pytest.raises(IndexError):
+            oracle[i]
+        with pytest.raises(IndexError):
+            view[i]
+    for other in (oracle, list(oracle)):
+        assert view == other and other == view
+        assert not (view != other or other != view)
+    changed = oracle[:-1] + (b"zz",)
+    for other in (changed, list(changed), oracle[:-1], list(oracle[:-1])):
+        assert view != other and other != view
+        assert not (view == other or other == view)
+    assert hash(view) == hash(oracle)
+    assert Tokens(buf, 0, 2, 2, 0) == ()
+
+
+def test_public_record_round_trips_through_the_views():
+    _, pk = semecs_keygen_from_secret(PRODUCTION_GROUP, 9, y=0x5EED)
+    record = record_from_semecs_public(pk)
+    loaded = semecs_public_from_record(record)
+    assert isinstance(loaded.betas, Tokens) and isinstance(pk.betas, Tokens)
+    assert loaded == pk and hash(loaded) == hash(pk)
+    assert serialize_record(record_from_semecs_public(loaded)) == serialize_record(record)
