@@ -149,10 +149,10 @@ def count_group_ops():
         _active_counter.reset(token)
 
 
-def _bump(field: str) -> None:
+def _bump(field: str, n: int = 1) -> None:
     counter = _active_counter.get()
     if counter is not None:
-        setattr(counter, field, getattr(counter, field) + 1)
+        setattr(counter, field, getattr(counter, field) + n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,23 @@ binary search over the sorted beta tokens.  Signing twice at one index is
 fatal: :func:`extract_private_key` solves the two resulting linear equations
 for y, which is why counter advancement must be persisted before a signature
 is released (see :mod:`semecs.keystore`).
+
+Key generation spends one fixed-base exponentiation and four hashes on each
+index, and the indices are independent.  From K = 512 up it forks one child
+per further core this process may run on, each over a contiguous range of
+at least 256 indices, and computes the first range itself.  A child only
+hashes, multiplies big integers and writes its tokens to one pipe, then
+leaves through ``os._exit``; it takes no lock that another thread could hold,
+touches no other file and runs no handler of the embedding program, so a
+caller with threads may run keygen.  The child inherits the fixed-base alpha
+table, which keygen builds for Y before it forks.  K = 1 never forks.
 """
 
 from __future__ import annotations
 
 import functools
 import hmac
+import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -43,6 +54,7 @@ from .errors import (
 from .fdh import fdh_pair
 from .group import (
     GroupParams,
+    _bump,
     double_exp,
     encode_element,
     encode_scalar,
@@ -59,6 +71,12 @@ MAX_K = (1 << (8 * INDEX_LEN)) - 1
 
 #: Keygen draws a fresh y this many times before giving up on distinct betas.
 INDEX_RETRY_BOUND = 8
+
+#: Fewest indices a keygen worker is given: the smallest range for which a
+#: two-way split was no slower than serial keygen on PRODUCTION_GROUP, in
+#: parent processes of 20 to 85 MB (BENCH_18.json).  Below it, forking a
+#: child and reading its pipe cost about as much as the child saves.
+_MIN_INDICES_PER_WORKER = 256
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +285,91 @@ def _derivation_input(params: GroupParams, y: int, j: int) -> bytes:
     return encode_scalar(params, y) + j.to_bytes(8, "big")
 
 
+def _token_range(params: GroupParams, y: int, lo: int, hi: int) -> bytes:
+    """gamma_j || beta_j for every j in [lo, hi), concatenated."""
+    h0, h1 = fdh_pair(params.q)
+    tokens = []
+    for j in range(lo, hi):
+        seed = _derivation_input(params, y, j)
+        r_j = h0.eval(seed)
+        big_r = exp(params, r_j)
+        z_j = h1.eval(seed)
+        token_preimage = encode_element(params, big_r)
+        tokens.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))
+        tokens.append(h1.eval_encoded(token_preimage))
+    return b"".join(tokens)
+
+
+def _fork_range(params: GroupParams, y: int, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that writes ``_token_range(params, y, lo, hi)`` to a pipe.
+
+    Returns (child pid, read end of the pipe).  The child hashes, multiplies
+    and writes the pipe, then leaves through ``os._exit``: it never returns
+    into the caller's code, flushes no inherited buffer and runs no
+    ``atexit`` handler.  Exit status 0 means every octet was written.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(_token_range(params, y, lo, hi))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _token_buffer(params: GroupParams, y: int, K: int) -> bytes:
+    """Every token of the key, in index order, split across the usable cores.
+
+    The index range is cut into one contiguous range per worker, with at
+    least ``_MIN_INDICES_PER_WORKER`` indices each.  A child is forked for
+    each range after the first while this process computes range 0, then
+    reads the pipes in order and reaps every child before joining the parts,
+    so the result is the serial one octet for octet.  If anything fails,
+    every child still running is killed, and every child is reaped before
+    the error propagates; a child that fails raises ChildProcessError.
+    """
+    workers = max(1, min(len(os.sched_getaffinity(0)), K // _MIN_INDICES_PER_WORKER))
+    bounds = [K * w // workers for w in range(workers + 1)]
+    children = []  # (pid, read end) for each range after the first
+    parts = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append(_fork_range(params, y, lo, hi))
+        parts.append(_token_range(params, y, 0, bounds[1]))
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                parts.append(pipe.read())
+    except BaseException:
+        import signal  # only on failure: importing semecs loads no signal module
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, read_end in children:
+            os.close(read_end)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    buf = b"".join(parts)
+    if any(statuses) or len(buf) != 2 * params.scalar_len * K:
+        raise ChildProcessError(
+            f"a keygen worker failed (exit codes {statuses}); no key was produced"
+        )
+    _bump("exp_count", K - bounds[1])  # the children's exps never reach this counter
+    return buf
+
+
 def semecs_keygen_from_secret(
     params: GroupParams, K: int, y: int
 ) -> tuple[SemecsSigningState, SemecsPublicKey]:
@@ -275,7 +378,8 @@ def semecs_keygen_from_secret(
     Re-running with the same y reproduces a byte-identical public key.  On
     tiny toy groups, where scalar_len-octet betas can collide by pigeonhole,
     the key's ``search_index`` raises DuplicateBeta; indexed verification
-    still works.
+    still works.  Large K is split across forked children; see the module
+    docstring.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -283,18 +387,8 @@ def semecs_keygen_from_secret(
         raise ValueError(f"K exceeds the {INDEX_LEN}-octet envelope index")
     if not 1 <= y < params.q:
         raise ValueError("private key must lie in [1, q-1]")
-    h0, h1 = fdh_pair(params.q)
-    big_y = exp(params, y)
-    tokens = []  # gamma_0, beta_0, gamma_1, beta_1, ...
-    for j in range(K):
-        seed = _derivation_input(params, y, j)
-        r_j = h0.eval(seed)
-        big_r = exp(params, r_j)
-        z_j = h1.eval(seed)
-        token_preimage = encode_element(params, big_r)
-        tokens.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))
-        tokens.append(h1.eval_encoded(token_preimage))
-    buf, L = b"".join(tokens), params.scalar_len
+    big_y = exp(params, y)  # also builds the alpha table that forked children inherit
+    buf, L = _token_buffer(params, y, K), params.scalar_len
     gammas, betas = Tokens(buf, 0, 2 * L, L, K), Tokens(buf, L, 2 * L, L, K)
     pk = SemecsPublicKey(params, big_y, gammas, betas)
     return SemecsSigningState(params=params, y=y, j=0, K=K), pk

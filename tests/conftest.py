@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 import threading
@@ -53,6 +54,38 @@ def run_in_threads(work, threads=4, calls=500):
     if errors:
         raise errors[0]
     return results
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Call with n: keygen then sees n usable cores, whatever the host has."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked from here on, in the order forked."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Every child in ``pids`` has exited and been reaped.
+
+    Per pid, because a test session may hold other children of its own, such
+    as the resource tracker a spawn-context ``multiprocessing`` test starts.
+    """
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture

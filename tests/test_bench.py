@@ -18,6 +18,7 @@ from semecs.bench import (
     write_csv,
 )
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP, GroupParams
+from semecs.semecs import _MIN_INDICES_PER_WORKER
 
 
 # --- energy model -------------------------------------------------------------
@@ -141,12 +142,14 @@ def test_tx_bytes_follow_signature_overhead(group):
     assert sign["semecs"].tx_bytes == 6 + L
 
 
-def test_keygen_bench_counts_k_plus_one_exps():
+@pytest.mark.parametrize("K", [4, 2 * _MIN_INDICES_PER_WORKER + 1], ids=["serial", "forked"])
+def test_keygen_bench_counts_k_plus_one_exps(cores, K):
+    cores(2)  # the larger K splits across one forked child, whose exps count too
     keygen = run_bench(
-        "semecs", "keygen", GroupParams(p=131267, q=65633, alpha=4), iterations=2, K=4
+        "semecs", "keygen", GroupParams(p=131267, q=65633, alpha=4), iterations=2, K=K
     )
     assert keygen.tx_bytes == 0
-    assert keygen.exp_ops == 5.0  # K commitments plus Y
+    assert keygen.exp_ops == K + 1  # K commitments plus Y
 
 
 def test_keygen_bench_does_not_need_distinct_betas():

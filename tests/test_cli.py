@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from semecs import cli, eta, keystore
+from semecs import semecs as semecs_mod
 from semecs.bench import CSV_COLUMNS, read_csv
 from semecs.cli import main
 from semecs.eta import EtaSignature
@@ -17,6 +18,7 @@ from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 from semecs.schnorr import SchnorrKeyPair
 from semecs.semecs import semecs_keygen_from_secret, semecs_sign
 
+from conftest import assert_reaped
 from faults import ADVANCE_FAULTS, fails_on_call
 
 
@@ -47,6 +49,27 @@ def test_keygen_writes_both_files(tmp_path, capsys):
     # pk payload = Y plus K (gamma, beta) pairs = 17 scalar widths at K=8
     L = record.params.scalar_len
     assert len(record.payload) == (2 * 8 + 1) * L
+
+
+def test_failed_keygen_worker_is_a_state_error_and_writes_no_key(
+    tmp_path, capsys, cores, forks, monkeypatch
+):
+    def token_range(params, y, lo, hi):
+        if lo > 0:  # in the forked child
+            raise MemoryError
+        return real_range(params, y, lo, hi)
+
+    real_range = semecs_mod._token_range
+    cores(2)
+    monkeypatch.setattr(semecs_mod, "_token_range", token_range)
+    K = 2 * semecs_mod._MIN_INDICES_PER_WORKER
+    assert main(["keygen", "--scheme", "semecs", "--group", "toy", "-K", str(K),
+                 "--out-prefix", str(tmp_path / "key")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
 def test_keygen_usage_errors(tmp_path, capsys):

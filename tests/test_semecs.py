@@ -1,3 +1,6 @@
+import hashlib
+import os
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -10,7 +13,7 @@ from semecs.errors import (
     NotExtractable,
     StatePersistFailure,
 )
-from semecs.group import PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
+from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
 from semecs import semecs as semecs_mod
 from semecs.keystore import (
     record_from_semecs_public,
@@ -34,7 +37,7 @@ from semecs.semecs import (
     split_message,
 )
 
-from conftest import run_in_threads
+from conftest import assert_reaped, run_in_threads
 from oracles import semecs_keygen_transcript, semecs_sign_transcript
 
 
@@ -145,6 +148,97 @@ def test_public_key_size_formula(K):
     _, pk = semecs_keygen_from_secret(PRODUCTION_GROUP, K, y=0xDEADBEEF)
     record = record_from_semecs_public(pk)
     assert len(record.payload) == (2 * K + 1) * 32
+
+
+# --- keygen split across forked workers --------------------------------------
+
+_SPLIT_K = 2 * semecs_mod._MIN_INDICES_PER_WORKER  # smallest K split two ways
+
+
+@pytest.mark.parametrize(
+    "K, n_forks",
+    [(_SPLIT_K - 1, 0), (_SPLIT_K, 1), (_SPLIT_K + 257, 2)],  # the last splits 256/256/257
+    ids=["below", "at", "odd-above"],
+)
+def test_split_keygen_matches_oracle(cores, forks, K, n_forks):
+    cores(3)
+    _, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, K, y=0x5EED)
+    expected = semecs_keygen_transcript(BIG_TOY_GROUP, 0x5EED, K)
+    assert len(forks) == n_forks
+    assert list(pk.gammas) == [row["gamma"] for row in expected["rows"]]
+    assert list(pk.betas) == [row["beta"] for row in expected["rows"]]
+    assert_reaped(forks)
+
+
+def test_split_production_record_hashes_as_the_serial_one(cores, forks):
+    def record_digest():
+        _, pk = semecs_keygen_from_secret(PRODUCTION_GROUP, _SPLIT_K + 1, y=0x1D6E51F0)
+        return hashlib.sha256(serialize_record(record_from_semecs_public(pk))).digest()
+
+    cores(1)
+    serial = record_digest()
+    cores(2)
+    assert record_digest() == serial
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("call", [1, 2])
+def test_keygen_fork_failure_leaves_no_child(cores, forks, monkeypatch, call):
+    cores(3)  # two forks: the first fails, or the second after the first succeeded
+    calls, recording_fork = [], os.fork
+
+    def fork():
+        calls.append(1)
+        if len(calls) == call:
+            raise OSError(11, "Resource temporarily unavailable")
+        return recording_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="temporarily unavailable"):
+        semecs_keygen_from_secret(BIG_TOY_GROUP, 3 * semecs_mod._MIN_INDICES_PER_WORKER, y=7)
+    assert len(forks) == call - 1
+    assert_reaped(forks)
+
+
+def _worker_failing(in_child, exc):
+    """A ``_token_range`` that raises ``exc`` in the children, or else in range 0.
+
+    In the second case the children sleep first, so they are still running
+    when the parent fails.
+    """
+    real_range = semecs_mod._token_range
+
+    def token_range(params, y, lo, hi):
+        if (lo > 0) == in_child:
+            raise exc
+        if lo > 0:
+            time.sleep(30)  # a child still running when the parent fails
+        return real_range(params, y, lo, hi)
+
+    return token_range
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("range 0 failed"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_parent_failure_kills_and_reaps_every_child(cores, forks, monkeypatch, exc):
+    cores(3)
+    monkeypatch.setattr(semecs_mod, "_token_range", _worker_failing(False, exc))
+    started = time.monotonic()
+    with pytest.raises(type(exc)):
+        semecs_keygen_from_secret(BIG_TOY_GROUP, _SPLIT_K * 2, y=7)
+    assert time.monotonic() - started < 20  # the sleeping children were killed
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_failed_child_raises_child_process_error(cores, forks, monkeypatch):
+    cores(2)
+    monkeypatch.setattr(semecs_mod, "_token_range", _worker_failing(True, RuntimeError()))
+    with pytest.raises(ChildProcessError):
+        semecs_keygen_from_secret(BIG_TOY_GROUP, _SPLIT_K, y=7)
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
 # --- signing ----------------------------------------------------------------
