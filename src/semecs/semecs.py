@@ -26,11 +26,12 @@ Key generation spends one fixed-base exponentiation and four hashes on each
 index, and the indices are independent.  From K = 512 up it forks one child
 per further core this process may run on, each over a contiguous range of
 at least 256 indices, and computes the first range itself.  A child only
-hashes, multiplies big integers and writes its tokens to one pipe, then
-leaves through ``os._exit``; it takes no lock that another thread could hold,
-touches no other file and runs no handler of the embedding program, so a
-caller with threads may run keygen.  The child inherits the fixed-base alpha
-table, which keygen builds for Y before it forks.  K = 1 never forks.
+hashes, multiplies big integers and writes its tokens to its own slice of
+one anonymous shared mapping, then leaves through ``os._exit``; it takes no
+lock that another thread could hold, touches no other file and runs no
+handler of the embedding program, so a caller with threads may run keygen.
+The child inherits the fixed-base alpha table, which keygen builds for Y
+before it forks.  K = 1 never forks.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ INDEX_RETRY_BOUND = 8
 #: Fewest indices a keygen worker is given: the smallest range for which a
 #: two-way split was no slower than serial keygen on PRODUCTION_GROUP, in
 #: parent processes of 20 to 85 MB (BENCH_18.json).  Below it, forking a
-#: child and reading its pipe cost about as much as the child saves.
+#: child costs about as much as the child saves.
 _MIN_INDICES_PER_WORKER = 256
 
 
@@ -300,74 +301,52 @@ def _token_range(params: GroupParams, y: int, lo: int, hi: int) -> bytes:
     return b"".join(tokens)
 
 
-def _fork_range(params: GroupParams, y: int, lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that writes ``_token_range(params, y, lo, hi)`` to a pipe.
-
-    Returns (child pid, read end of the pipe).  The child hashes, multiplies
-    and writes the pipe, then leaves through ``os._exit``: it never returns
-    into the caller's code, flushes no inherited buffer and runs no
-    ``atexit`` handler.  Exit status 0 means every octet was written.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(_token_range(params, y, lo, hi))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
 def _token_buffer(params: GroupParams, y: int, K: int) -> bytes:
     """Every token of the key, in index order, split across the usable cores.
 
     The index range is cut into one contiguous range per worker, with at
     least ``_MIN_INDICES_PER_WORKER`` indices each.  A child is forked for
-    each range after the first while this process computes range 0, then
-    reads the pipes in order and reaps every child before joining the parts,
-    so the result is the serial one octet for octet.  If anything fails,
-    every child still running is killed, and every child is reaped before
-    the error propagates; a child that fails raises ChildProcessError.
+    each range after the first and writes its own slice of one shared
+    mapping; a slice of the wrong size raises there, so exit status 0 means
+    the range is complete.  This process fills range 0, reaps every child
+    and copies the mapping out, so the result is the serial one octet for
+    octet.  If anything fails, every child still running is killed, and
+    every child is reaped before the error propagates; a child that fails
+    raises ChildProcessError.
     """
+    import mmap  # here, not at the top: importing semecs loads no mmap module
+
     workers = max(1, min(len(os.sched_getaffinity(0)), K // _MIN_INDICES_PER_WORKER))
     bounds = [K * w // workers for w in range(workers + 1)]
-    children = []  # (pid, read end) for each range after the first
-    parts = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_range(params, y, lo, hi))
-        parts.append(_token_range(params, y, 0, bounds[1]))
-        for _, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                parts.append(pipe.read())
-    except BaseException:
-        import signal  # only on failure: importing semecs loads no signal module
+    width = 2 * params.scalar_len
+    pids = []  # one child for each range after the first
+    with mmap.mmap(-1, width * K) as shared:  # MAP_SHARED: children write these pages
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        shared[width * lo : width * hi] = _token_range(params, y, lo, hi)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            shared[: width * bounds[1]] = _token_range(params, y, 0, bounds[1])
+        except BaseException:
+            import signal  # only on failure: importing semecs loads no signal module
 
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        statuses = []
-        for pid, read_end in children:
-            os.close(read_end)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    buf = b"".join(parts)
-    if any(statuses) or len(buf) != 2 * params.scalar_len * K:
-        raise ChildProcessError(
-            f"a keygen worker failed (exit codes {statuses}); no key was produced"
-        )
-    _bump("exp_count", K - bounds[1])  # the children's exps never reach this counter
-    return buf
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if any(statuses):
+            raise ChildProcessError(
+                f"a keygen worker failed (exit codes {statuses}); no key was produced"
+            )
+        _bump("exp_count", K - bounds[1])  # the children's exps never reach this counter
+        return shared[:]
 
 
 def semecs_keygen_from_secret(

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import random
 import sys
@@ -78,14 +79,20 @@ def forks(monkeypatch):
 
 
 def assert_reaped(pids):
-    """Every child in ``pids`` has exited and been reaped.
-
-    Per pid, because a test session may hold other children of its own, such
-    as the resource tracker a spawn-context ``multiprocessing`` test starts.
-    """
+    """Every child in ``pids`` has exited and been reaped, and no other is left."""
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def no_new_descriptors():
+    """The body leaves open exactly the descriptors that were open before it."""
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -549,6 +551,16 @@ def test_only_main_maps_errors_to_exit_codes():
     stray = [n.lineno for n in ast.walk(tree)
              if isinstance(n, (ast.Try, getattr(ast, "TryStar", ast.Try))) and id(n) not in in_main]
     assert stray == [], f"try statements outside main at lines {stray}"
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # every process the CLI starts pays for each module it imports
+    code = "import sys, semecs.cli; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert not loaded & {"mmap", "signal", "multiprocessing", "concurrent.futures"}
 
 
 def test_unknown_flag_is_usage_error(capsys):

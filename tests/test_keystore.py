@@ -450,7 +450,7 @@ def test_two_processes_never_release_one_index(tmp_path):
     state, _ = semecs_keygen_from_secret(PRODUCTION_GROUP, 2 * _RACE_SIGNS + 8, y=y)
     path = tmp_path / "shared.sk"
     save_state(path, keystore.record_from_semecs_state(state))
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")
     barrier = ctx.Barrier(2)
     results = ctx.Queue()
     workers = [

@@ -37,7 +37,7 @@ from semecs.semecs import (
     split_message,
 )
 
-from conftest import assert_reaped, run_in_threads
+from conftest import assert_reaped, no_new_descriptors, run_in_threads
 from oracles import semecs_keygen_transcript, semecs_sign_transcript
 
 
@@ -162,7 +162,8 @@ _SPLIT_K = 2 * semecs_mod._MIN_INDICES_PER_WORKER  # smallest K split two ways
 )
 def test_split_keygen_matches_oracle(cores, forks, K, n_forks):
     cores(3)
-    _, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, K, y=0x5EED)
+    with no_new_descriptors():
+        _, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, K, y=0x5EED)
     expected = semecs_keygen_transcript(BIG_TOY_GROUP, 0x5EED, K)
     assert len(forks) == n_forks
     assert list(pk.gammas) == [row["gamma"] for row in expected["rows"]]
@@ -195,7 +196,7 @@ def test_keygen_fork_failure_leaves_no_child(cores, forks, monkeypatch, call):
         return recording_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    with pytest.raises(OSError, match="temporarily unavailable"):
+    with no_new_descriptors(), pytest.raises(OSError, match="temporarily unavailable"):
         semecs_keygen_from_secret(BIG_TOY_GROUP, 3 * semecs_mod._MIN_INDICES_PER_WORKER, y=7)
     assert len(forks) == call - 1
     assert_reaped(forks)
@@ -225,7 +226,7 @@ def test_parent_failure_kills_and_reaps_every_child(cores, forks, monkeypatch, e
     cores(3)
     monkeypatch.setattr(semecs_mod, "_token_range", _worker_failing(False, exc))
     started = time.monotonic()
-    with pytest.raises(type(exc)):
+    with no_new_descriptors(), pytest.raises(type(exc)):
         semecs_keygen_from_secret(BIG_TOY_GROUP, _SPLIT_K * 2, y=7)
     assert time.monotonic() - started < 20  # the sleeping children were killed
     assert len(forks) == 2
@@ -235,7 +236,7 @@ def test_parent_failure_kills_and_reaps_every_child(cores, forks, monkeypatch, e
 def test_failed_child_raises_child_process_error(cores, forks, monkeypatch):
     cores(2)
     monkeypatch.setattr(semecs_mod, "_token_range", _worker_failing(True, RuntimeError()))
-    with pytest.raises(ChildProcessError):
+    with no_new_descriptors(), pytest.raises(ChildProcessError):
         semecs_keygen_from_secret(BIG_TOY_GROUP, _SPLIT_K, y=7)
     assert len(forks) == 1
     assert_reaped(forks)
