@@ -6,16 +6,6 @@ the price of a public key linear in the signature capacity K.  See the README
 for the design tour.
 """
 
-from .bench import (
-    AVR_ATMEGA2560,
-    NRF24L01,
-    PROFILES,
-    BenchRecord,
-    EnergyProfile,
-    derive_profile,
-    energy_compute,
-    run_bench,
-)
 from .errors import (
     CorruptState,
     DuplicateBeta,
@@ -88,3 +78,18 @@ from .semecs import (
 )
 
 __version__ = "1.0.0"
+
+# ``bench`` pulls in statistics, csv and json, which no sign or verify uses;
+# it loads the first time one of its names is read (PEP 562).
+_BENCH_NAMES = frozenset({
+    "AVR_ATMEGA2560", "NRF24L01", "PROFILES", "BenchRecord", "EnergyProfile",
+    "derive_profile", "energy_compute", "run_bench",
+})
+
+
+def __getattr__(name):
+    if name not in _BENCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bench
+
+    return getattr(bench, name)

@@ -31,9 +31,10 @@ from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
 from .errors import MalformedEncoding
 from .group import GroupParams, count_group_ops, random_scalar
+from .keystore import SCHEME_NAMES
 
 CSV_SCHEMA_VERSION = 1
-SCHEMES = ("schnorr", "eta", "semecs")
+SCHEMES = tuple(SCHEME_NAMES.values())
 OPERATIONS = ("keygen", "sign", "verify")
 
 

@@ -13,7 +13,6 @@ import os
 import sys
 import time
 
-from . import bench as bench_mod
 from . import eta as eta_mod
 from . import keystore
 from . import schnorr as schnorr_mod
@@ -27,6 +26,10 @@ EXIT_USAGE = 2
 EXIT_STATE = 3
 
 _GROUPS = {"toy": BIG_TOY_GROUP, "prod": PRODUCTION_GROUP}
+_SCHEMES = tuple(keystore.SCHEME_NAMES.values())
+# sorted(bench.PROFILES), spelled out so that building the parser loads no
+# bench; tests/test_cli.py pins the two together
+_PROFILES = ("avr-atmega2560", "nrf24l01")
 
 
 def _log(msg: str) -> None:
@@ -167,6 +170,8 @@ def _cmd_inspect(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_bench(args, parser) -> int:
+    from . import bench as bench_mod
+
     if args.iters < 1:
         parser.error("--iters must be >= 1")
     if not 1 <= args.K <= semecs_mod.MAX_K:
@@ -187,6 +192,8 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_energy_report(args, parser) -> int:
+    from . import bench as bench_mod
+
     profile = bench_mod.PROFILES[args.profile]
     if args.bits is not None and args.cycles is None:
         parser.error("--bits needs --cycles")
@@ -205,6 +212,8 @@ def _cmd_energy_report(args, parser) -> int:
 
 
 def _emit_records(records, csv_path, json_path) -> None:
+    from . import bench as bench_mod
+
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
             bench_mod.write_csv(records, fh)
@@ -239,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.set_defaults(run=_cmd_keygen, parser=p)
-    p.add_argument("--scheme", required=True, choices=bench_mod.SCHEMES)
+    p.add_argument("--scheme", required=True, choices=_SCHEMES)
     p.add_argument("--group", default="prod", choices=_GROUPS)
     p.add_argument("-K", type=int, default=None, help="signature capacity")
     key_path(p, "--out-prefix", "key", "writes PREFIX.sk and PREFIX.pk")
@@ -266,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run timing benchmarks")
     p.set_defaults(run=_cmd_bench, parser=p)
-    p.add_argument("--scheme", default="all", choices=(*bench_mod.SCHEMES, "all"))
+    p.add_argument("--scheme", default="all", choices=(*_SCHEMES, "all"))
     p.add_argument("--group", default="prod", choices=_GROUPS)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("-K", type=int, default=16, help="capacity used by keygen benches")
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy-report", help="convert work into energy estimates")
     p.set_defaults(run=_cmd_energy_report, parser=p)
-    p.add_argument("--profile", required=True, choices=sorted(bench_mod.PROFILES),
+    p.add_argument("--profile", required=True, choices=_PROFILES,
                    help="device profile name")
     work = p.add_mutually_exclusive_group(required=True)
     work.add_argument("--from", dest="source", default=None, help="bench CSV to annotate")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hmac
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import KeyExhausted, MalformedEncoding
 from .fdh import fdh_pair
@@ -48,8 +48,8 @@ class EtaSigningState:
     """
 
     params: GroupParams
-    y: int
-    r_cur: int
+    y: int = field(repr=False)
+    r_cur: int = field(repr=False)
     j: int
     K: int
 

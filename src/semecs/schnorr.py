@@ -7,7 +7,7 @@ correctness cross-check and benchmark baseline.  The signature is the pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import MalformedEncoding
 from .fdh import fdh_pair
@@ -28,7 +28,7 @@ ENVELOPE_VERSION = 1
 @dataclass(frozen=True)
 class SchnorrKeyPair:
     params: GroupParams
-    y: int  # private
+    y: int = field(repr=False)  # private
     Y: int  # public, alpha^y mod p
 
     @classmethod

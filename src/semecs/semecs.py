@@ -169,7 +169,7 @@ class SemecsSigningState:
     """
 
     params: GroupParams
-    y: int
+    y: int = field(repr=False)
     j: int
     K: int
     persist: Optional[Callable[[int], None]] = field(
@@ -217,9 +217,10 @@ def build_search_index(betas: Sequence[bytes]) -> SearchIndex:
     Raises :class:`DuplicateBeta` when two tokens collide -- binary search
     over the sorted values is then ambiguous and the key must be regenerated.
     """
-    if len(set(betas)) != len(betas):
+    tokens = list(betas)  # slice each view token once, not once per use
+    if len(set(tokens)) != len(tokens):
         raise DuplicateBeta("public key has colliding tokens; regenerate the key")
-    return SearchIndex(betas, tuple(sorted(range(len(betas)), key=betas.__getitem__)))
+    return SearchIndex(betas, tuple(sorted(range(len(tokens)), key=tokens.__getitem__)))
 
 
 @dataclass(frozen=True)

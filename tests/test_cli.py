@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import io
@@ -11,7 +12,8 @@ from unittest import mock
 
 import pytest
 
-from semecs import cli, eta, keystore
+import semecs
+from semecs import bench, cli, eta, keystore
 from semecs import semecs as semecs_mod
 from semecs.bench import CSV_COLUMNS, read_csv
 from semecs.cli import main
@@ -561,6 +563,51 @@ def test_importing_the_cli_loads_no_process_machinery():
                           capture_output=True, text=True, check=True, timeout=60)
     loaded = set(done.stdout.split())
     assert not loaded & {"mmap", "signal", "multiprocessing", "concurrent.futures"}
+    # bench and its statistics/csv/json chain load only for bench and energy-report
+    assert not loaded & {"semecs.bench", "statistics", "csv", "json", "decimal", "fractions"}
+    # perfbench looks these up in sys.modules after importing the CLI
+    wrapped = {f"semecs.{m}" for m in
+               ("errors", "fdh", "group", "keystore", "semecs", "eta", "schnorr")}
+    assert wrapped <= loaded
+
+
+def _choices(command, dest):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_cli_choices_match_bench():
+    assert _choices("keygen", "scheme") == bench.SCHEMES == ("schnorr", "eta", "semecs")
+    assert _choices("bench", "scheme") == (*bench.SCHEMES, "all")
+    assert _choices("energy-report", "profile") == tuple(sorted(bench.PROFILES))
+
+
+@pytest.mark.parametrize("name", ["AVR_ATMEGA2560", "NRF24L01", "PROFILES", "BenchRecord",
+                                  "EnergyProfile", "derive_profile", "energy_compute",
+                                  "run_bench"])
+def test_package_still_exports_bench_names(name):
+    assert getattr(semecs, name) is getattr(bench, name)
+
+
+def test_package_has_no_other_lazy_names():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        semecs.no_such_name  # noqa: B018
+    assert not hasattr(semecs, "SCHEMES")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["energy-report", "--profile", "avr-atmega2560", "--cycles", "1000"], "compute_mJ: "),
+    (["bench", "--group", "toy", "--scheme", "semecs", "--iters", "1", "-K", "4"],
+     ",".join(CSV_COLUMNS)),
+])
+def test_bench_commands_load_bench_in_a_fresh_process(argv, expected):
+    # in-process tests run with bench already imported; a new CLI process has not
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "semecs.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert expected in done.stdout
 
 
 def test_unknown_flag_is_usage_error(capsys):

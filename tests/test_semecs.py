@@ -13,6 +13,7 @@ from semecs.errors import (
     NotExtractable,
     StatePersistFailure,
 )
+from semecs.eta import eta_keygen_from_secrets
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
 from semecs import semecs as semecs_mod
 from semecs.keystore import (
@@ -20,6 +21,7 @@ from semecs.keystore import (
     semecs_public_from_record,
     serialize_record,
 )
+from semecs.schnorr import SchnorrKeyPair
 from semecs.semecs import (
     ENVELOPE_HEADER_LEN,
     SemecsSigningState,
@@ -622,3 +624,18 @@ def test_public_record_round_trips_through_the_views():
     assert isinstance(loaded.betas, Tokens) and isinstance(pk.betas, Tokens)
     assert loaded == pk and hash(loaded) == hash(pk)
     assert serialize_record(record_from_semecs_public(loaded)) == serialize_record(record)
+
+
+def test_no_secret_appears_in_a_repr():
+    y, r0 = 0x5EED5EED5EED, 0xC0FFEEC0FFEE
+    semecs_state, _ = semecs_keygen_from_secret(PRODUCTION_GROUP, 2, y=y)
+    eta_state, _ = eta_keygen_from_secrets(PRODUCTION_GROUP, 2, y=y, r0=r0)
+    schnorr_key = SchnorrKeyPair.from_private(PRODUCTION_GROUP, y)
+    for obj, secrets in ((semecs_state, {"y": y}),
+                         (eta_state, {"y": y, "r_cur": eta_state.r_cur}),
+                         (schnorr_key, {"y": y})):
+        text = repr(obj)
+        assert type(obj).__name__ in text and "params=" in text
+        for name, value in secrets.items():
+            assert f"{name}=" not in text
+            assert str(value) not in text and hex(value)[2:] not in text
