@@ -15,7 +15,7 @@ from __future__ import annotations
 import hmac
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import KeyExhausted, MalformedEncoding
 from .fdh import fdh_pair
@@ -36,7 +36,6 @@ X_LEN = 16  # kappa = 128 bits of per-signature randomness
 ENVELOPE_VERSION = 1
 
 
-@dataclass
 class EtaSigningState:
     """Mutable signer state: (y, current chain value, counter).
 
@@ -44,22 +43,25 @@ class EtaSigningState:
     state in place.  Separate processes are serialized by the keystore's
     directory ``flock``, and a stale handle fails with StaleState.  Previous
     chain values are dropped on advance and are not recoverable from the
-    fields kept here.
+    fields kept here.  Equal by (params, y, r_cur, j, K), never hashable,
+    and its repr shows no secret.
     """
 
-    params: GroupParams
-    y: int = field(repr=False)
-    r_cur: int = field(repr=False)
-    j: int
-    K: int
-
-    def __post_init__(self) -> None:
-        # an attribute, not a field: never compared, shown or stored
+    def __init__(self, params: GroupParams, y: int, r_cur: int, j: int, K: int) -> None:
+        self.params, self.y, self.r_cur, self.j, self.K = params, y, r_cur, j, K
         self.lock = threading.Lock()
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.params, self.y, self.r_cur, self.j, self.K)
+                == (other.params, other.y, other.r_cur, other.j, other.K))
 
-@dataclass(frozen=True)
-class EtaPublicKey:
+    def __repr__(self) -> str:
+        return f"EtaSigningState(params={self.params!r}, j={self.j!r}, K={self.K!r})"
+
+
+class EtaPublicKey(NamedTuple):
     params: GroupParams
     Y: int
     tokens: Sequence[bytes]  # v_j = H1(R_j), one scalar_len digest per index
@@ -69,8 +71,7 @@ class EtaPublicKey:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class EtaSignature:
+class EtaSignature(NamedTuple):
     s: int
     x: bytes
     j: int

@@ -14,30 +14,24 @@ so another one could not be told apart on load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2s
 
 
-@dataclass(frozen=True)
 class Fdh:
     """One full-domain hash H_i : {0,1}* -> Z_q* for i = hash_id."""
 
-    q: int
-    hash_id: int
-
-    def __post_init__(self) -> None:
-        if self.hash_id not in (0, 1):
+    def __init__(self, q: int, hash_id: int) -> None:
+        if hash_id not in (0, 1):
             raise ValueError("hash_id selects H0 or H1")
-        if self.q < 2:
+        if q < 2:
             raise ValueError("q must be a prime >= 2")
-        nbits = 2 * self.q.bit_length()
+        self.q, self.hash_id = q, hash_id
+        nbits = 2 * q.bit_length()
         nbytes = (nbits + 7) // 8
         # one 4-octet counter per 32-octet digest of the expansion
         counters = tuple(b.to_bytes(4, "big") for b in range(-(-nbytes // 32)))
-        # an attribute, not a field: derived from q and hash_id, never compared
-        expansion = (bytes([self.hash_id]), nbytes, 8 * nbytes - nbits, counters)
-        object.__setattr__(self, "_expansion", expansion)
+        self._expansion = (bytes([hash_id]), nbytes, 8 * nbytes - nbits, counters)
 
     @property
     def scalar_len(self) -> int:

@@ -34,7 +34,7 @@ import contextlib
 import contextvars
 import functools
 import secrets
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MalformedEncoding, RngFailure
 
@@ -49,27 +49,30 @@ _COMB_BITS = 6
 _COMB_MASK = (1 << _COMB_BITS) - 1
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(namedtuple("GroupParams", "p q alpha")):
     """Parameters (p, q, alpha) of the order-q subgroup of Z_p*.
 
-    Immutable and freely shareable.  Validated on construction: q must divide
-    p - 1 and alpha must have multiplicative order exactly q.
+    Immutable and freely shareable; a tuple, equal and hashing equal by value.
+    Validated on construction, ``_replace`` included: q must divide p - 1 and
+    alpha must have multiplicative order exactly q.
     """
 
-    p: int
-    q: int
-    alpha: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q < 2 or self.p < 3:
+    def __new__(cls, p: int, q: int, alpha: int) -> "GroupParams":
+        if q < 2 or p < 3:
             raise ValueError("group parameters out of range")
-        if (self.p - 1) % self.q != 0:
+        if (p - 1) % q != 0:
             raise ValueError("q does not divide p - 1")
-        if not 1 < self.alpha < self.p:
+        if not 1 < alpha < p:
             raise ValueError("generator out of range")
-        if pow(self.alpha, self.q, self.p) != 1:
+        if pow(alpha, q, p) != 1:
             raise ValueError("alpha does not have order q modulo p")
+        return super().__new__(cls, p, q, alpha)
+
+    @classmethod
+    def _make(cls, iterable) -> "GroupParams":
+        return cls(*iterable)
 
     @property
     def scalar_len(self) -> int:
@@ -109,7 +112,6 @@ PRODUCTION_GROUP = GroupParams(
 # Operation counting
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OpCounter:
     """Accumulator for group operations performed inside a counting context.
 
@@ -118,9 +120,8 @@ class OpCounter:
     shared across concurrent callers without external coordination.
     """
 
-    exp_count: int = 0
-    double_exp_count: int = 0
-    mul_count: int = 0
+    def __init__(self) -> None:
+        self.exp_count = self.double_exp_count = self.mul_count = 0
 
     def total(self) -> int:
         return self.exp_count + self.double_exp_count + self.mul_count

@@ -27,8 +27,7 @@ import hashlib
 import io
 import os
 import tempfile
-from dataclasses import dataclass, replace as _replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import eta as eta_mod
 from . import schnorr as schnorr_mod
@@ -61,9 +60,8 @@ ROLE_NAMES = {ROLE_SECRET: "secret", ROLE_PUBLIC: "public", ROLE_STATE: "state"}
 
 _TAG_LEN = 32
 
-@dataclass(frozen=True)
-class SignerStateRecord:
-    """One key/state file worth of data, scheme-agnostic."""
+class SignerStateRecord(NamedTuple):
+    """One key/state file worth of data, scheme-agnostic; the repr hides the payload."""
 
     scheme_tag: int
     role: int
@@ -71,6 +69,11 @@ class SignerStateRecord:
     j: int
     K: int
     payload: bytes
+
+    def __repr__(self) -> str:
+        return (f"SignerStateRecord(scheme_tag={self.scheme_tag!r}, role={self.role!r}, "
+                f"params={self.params!r}, j={self.j!r}, K={self.K!r}, "
+                f"payload=<{len(self.payload)} octets>)")
 
 
 def group_id_for(params: GroupParams) -> int:
@@ -152,14 +155,7 @@ def parse_record(data: bytes) -> SignerStateRecord:
         raise CorruptState("trailing bytes after payload")
     if j > K:
         raise CorruptState(f"counter j={j} exceeds capacity K={K}")
-    return SignerStateRecord(
-        scheme_tag=scheme_tag,
-        role=role,
-        params=params,
-        j=j,
-        K=K,
-        payload=payload,
-    )
+    return SignerStateRecord(scheme_tag, role, params, j, K, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +245,7 @@ def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) 
             )
         if record.j + 1 > record.K:
             raise StaleState(f"counter cannot advance past capacity K={record.K}")
-        updated = _replace(
-            record,
+        updated = record._replace(
             j=record.j + 1,
             payload=record.payload if new_payload is None else new_payload,
         )

@@ -7,7 +7,7 @@ correctness cross-check and benchmark baseline.  The signature is the pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MalformedEncoding
 from .fdh import fdh_pair
@@ -25,11 +25,13 @@ from .group import (
 ENVELOPE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SchnorrKeyPair:
+class SchnorrKeyPair(NamedTuple):
     params: GroupParams
-    y: int = field(repr=False)  # private
+    y: int  # private: left out of the repr
     Y: int  # public, alpha^y mod p
+
+    def __repr__(self) -> str:
+        return f"SchnorrKeyPair(params={self.params!r}, Y={self.Y!r})"
 
     @classmethod
     def from_private(cls, params: GroupParams, y: int) -> "SchnorrKeyPair":
@@ -39,8 +41,7 @@ class SchnorrKeyPair:
         return cls(params=params, y=y, Y=exp(params, y))
 
 
-@dataclass(frozen=True)
-class SchnorrSignature:
+class SchnorrSignature(NamedTuple):
     s: int
     e: int
 

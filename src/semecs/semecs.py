@@ -40,9 +40,9 @@ import functools
 import hmac
 import os
 import threading
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     DuplicateBeta,
@@ -156,7 +156,6 @@ class Tokens(Sequence):
         return hash(tuple(self))
 
 
-@dataclass
 class SemecsSigningState:
     """The signer's entire secret: y plus the monotone counter j.
 
@@ -165,24 +164,25 @@ class SemecsSigningState:
     keystore's directory ``flock``, and a stale handle fails with StaleState.
     When ``persist`` is set, sign() calls it with the index about to be
     consumed and refuses to release the signature unless it returns; wire it
-    to the keystore's counter advancement for crash safety.
+    to the keystore's counter advancement for crash safety.  Equal by
+    (params, y, j, K), never hashable, and its repr shows no secret.
     """
 
-    params: GroupParams
-    y: int = field(repr=False)
-    j: int
-    K: int
-    persist: Optional[Callable[[int], None]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        # an attribute, not a field: never compared, shown or stored
+    def __init__(self, params: GroupParams, y: int, j: int, K: int,
+                 persist: Optional[Callable[[int], None]] = None) -> None:
+        self.params, self.y, self.j, self.K, self.persist = params, y, j, K, persist
         self.lock = threading.Lock()
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.params, self.y, self.j, self.K) == (other.params, other.y, other.j, other.K)
 
-@dataclass(frozen=True)
-class SearchIndex:
+    def __repr__(self) -> str:
+        return f"SemecsSigningState(params={self.params!r}, j={self.j!r}, K={self.K!r})"
+
+
+class SearchIndex(NamedTuple):
     """The key's own beta tokens plus the permutation that sorts them ascending."""
 
     betas: Sequence[bytes]
@@ -223,12 +223,8 @@ def build_search_index(betas: Sequence[bytes]) -> SearchIndex:
     return SearchIndex(betas, tuple(sorted(range(len(tokens)), key=tokens.__getitem__)))
 
 
-@dataclass(frozen=True)
-class SemecsPublicKey:
-    params: GroupParams
-    Y: int
-    gammas: Sequence[bytes]
-    betas: Sequence[bytes]
+class SemecsPublicKey(namedtuple("SemecsPublicKey", "params Y gammas betas")):
+    # no ``__slots__ = ()``: cached_property keeps search_index in the instance dict
 
     @property
     def K(self) -> int:
@@ -240,8 +236,7 @@ class SemecsPublicKey:
         return build_search_index(self.betas)
 
 
-@dataclass(frozen=True)
-class SignedEnvelope:
+class SignedEnvelope(NamedTuple):
     """Wire form of a signature: (s, c) plus j, the padding flag and M-tilde."""
 
     j: int

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -364,7 +363,7 @@ def test_verify_with_capacity_zero_key_is_a_state_error(tmp_path, capsys):
     kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
     pk = tmp_path / "zero.pk"
     record = keystore.record_from_schnorr_public(PRODUCTION_GROUP, kp.Y)
-    keystore.save_state(pk, replace(record, scheme_tag=keystore.SCHEME_ETA))
+    keystore.save_state(pk, record._replace(scheme_tag=keystore.SCHEME_ETA))
     # a well-formed ETA envelope for index 0, which a K = 0 key does not have
     env = tmp_path / "m.env"
     sig = EtaSignature(s=1, x=bytes(eta.X_LEN), j=0)
@@ -565,6 +564,8 @@ def test_importing_the_cli_loads_no_process_machinery():
     assert not loaded & {"mmap", "signal", "multiprocessing", "concurrent.futures"}
     # bench and its statistics/csv/json chain load only for bench and energy-report
     assert not loaded & {"semecs.bench", "statistics", "csv", "json", "decimal", "fractions"}
+    # plain value types instead of dataclasses: no inspect/ast/dis chain either
+    assert not loaded & {"dataclasses", "inspect"}
     # perfbench looks these up in sys.modules after importing the CLI
     wrapped = {f"semecs.{m}" for m in
                ("errors", "fdh", "group", "keystore", "semecs", "eta", "schnorr")}

@@ -55,12 +55,29 @@ def test_production_group_shape():
 def test_invalid_params_rejected(p, q, alpha):
     with pytest.raises(ValueError):
         GroupParams(p=p, q=q, alpha=alpha)
+    with pytest.raises(ValueError):
+        GroupParams(p, q, alpha)
+    with pytest.raises(ValueError):
+        TOY_GROUP._replace(p=p, q=q, alpha=alpha)
 
 
 @pytest.mark.parametrize("p, q", [(23, 1), (2, 2)], ids=["q-below-2", "p-below-3"])
 def test_degenerate_group_sizes_rejected(p, q):
     with pytest.raises(ValueError, match="out of range"):
         GroupParams(p=p, q=q, alpha=2)
+    with pytest.raises(ValueError, match="out of range"):
+        TOY_GROUP._replace(p=p, q=q)
+
+
+def test_group_params_are_hashable_values():
+    copy = GroupParams(23, 11, 2)
+    assert copy == TOY_GROUP and hash(copy) == hash(TOY_GROUP)
+    assert TOY_GROUP._replace() == TOY_GROUP
+    assert type(TOY_GROUP._replace()) is GroupParams
+    assert TOY_GROUP._replace(alpha=4) == GroupParams(p=23, q=11, alpha=4)
+    assert len({TOY_GROUP, copy, BIG_TOY_GROUP}) == 2
+    assert not hasattr(TOY_GROUP, "__dict__")  # immutable: no attribute can be added
+    assert repr(TOY_GROUP) == "GroupParams(p=23, q=11, alpha=2)"
 
 
 def test_big_toy_group_is_the_smallest_safe_prime_group_past_2_19():

@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import random
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -16,7 +15,8 @@ from semecs.errors import (
     StaleState,
     StatePersistFailure,
 )
-from semecs.eta import eta_keygen
+from semecs import group
+from semecs.eta import eta_keygen, eta_keygen_from_secrets
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, GroupParams
 from semecs.keystore import (
     SignerStateRecord,
@@ -149,7 +149,7 @@ def test_unknown_role_under_a_valid_tag_is_corrupt():
 def test_serialize_refuses_unknown_tags_and_a_counter_past_capacity(change):
     record, _, _ = _semecs_record(K=4)
     with pytest.raises(ValueError):
-        serialize_record(replace(record, **change))
+        serialize_record(record._replace(**change))
 
 
 @pytest.mark.parametrize(
@@ -172,7 +172,7 @@ def test_modulus_wider_than_production_is_corrupt():
     # alpha^q check, whose pow on a wide modulus can stall for seconds
     p = (1 << 1024) + 1
     record, _, _ = _semecs_record()
-    wide = replace(record, params=GroupParams(p=p, q=2, alpha=p - 1))
+    wide = record._replace(params=GroupParams(p=p, q=2, alpha=p - 1))
     with pytest.raises(CorruptState):
         parse_record(serialize_record(wide))
 
@@ -199,7 +199,7 @@ def test_k_time_public_key_without_capacity_is_corrupt():
     kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
     schnorr_pk = keystore.record_from_schnorr_public(PRODUCTION_GROUP, kp.Y)
     # a Schnorr public payload is exactly an ETA public key with K = 0
-    as_eta = replace(schnorr_pk, scheme_tag=keystore.SCHEME_ETA)
+    as_eta = schnorr_pk._replace(scheme_tag=keystore.SCHEME_ETA)
     with pytest.raises(CorruptState, match="capacity"):
         keystore.eta_public_from_record(as_eta)
 
@@ -208,6 +208,49 @@ def test_production_records_share_the_group_constant():
     kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, 9)
     blob = serialize_record(keystore.record_from_schnorr_key(kp))
     assert parse_record(blob).params is PRODUCTION_GROUP
+
+
+def test_parsed_toy_params_share_the_constant_table_entry():
+    kp = SchnorrKeyPair.from_private(BIG_TOY_GROUP, 9)
+    group._alpha_table(BIG_TOY_GROUP)
+    before = group._alpha_table.cache_info()
+    parsed = parse_record(serialize_record(keystore.record_from_schnorr_key(kp))).params
+    assert parsed is not BIG_TOY_GROUP and parsed == BIG_TOY_GROUP
+    assert group._alpha_table(parsed) is group._alpha_table(BIG_TOY_GROUP)
+    assert group._alpha_table.cache_info().misses == before.misses
+
+
+_Y, _R0 = 0x5EED5EED5EED, 0xC0FFEEC0FFEE
+
+
+def _records_by_scheme_and_role():
+    kp = SchnorrKeyPair.from_private(PRODUCTION_GROUP, _Y)
+    eta_state, eta_pk = eta_keygen_from_secrets(PRODUCTION_GROUP, 2, y=_Y, r0=_R0)
+    semecs_state, semecs_pk = semecs_keygen_from_secret(PRODUCTION_GROUP, 2, y=_Y)
+    return {
+        "schnorr-secret": keystore.record_from_schnorr_key(kp),
+        "schnorr-public": keystore.record_from_schnorr_public(PRODUCTION_GROUP, kp.Y),
+        "eta-state": keystore.record_from_eta_state(eta_state),
+        "eta-public": keystore.record_from_eta_public(eta_pk),
+        "semecs-state": keystore.record_from_semecs_state(semecs_state),
+        "semecs-public": keystore.record_from_semecs_public(semecs_pk),
+    }
+
+
+@pytest.mark.parametrize("kind", ["schnorr-secret", "schnorr-public", "eta-state",
+                                  "eta-public", "semecs-state", "semecs-public"])
+def test_record_repr_shows_no_secret(kind):
+    record = _records_by_scheme_and_role()[kind]
+    text = repr(record)
+    assert text.startswith("SignerStateRecord(scheme_tag=") and "params=" in text
+    assert f"payload=<{len(record.payload)} octets>" in text
+    assert record.payload.hex() not in text and repr(record.payload) not in text
+    for value in (_Y, _R0):
+        assert str(value) not in text and hex(value)[2:] not in text.lower()
+    # the repr hides the payload; equality, _replace and the field order keep it
+    assert record._fields == ("scheme_tag", "role", "params", "j", "K", "payload")
+    assert record._replace() == record and record._replace(payload=b"") != record
+    assert parse_record(serialize_record(record)) == record
 
 
 def test_scheme_role_mismatch_raises():
@@ -385,7 +428,7 @@ def test_short_writes_that_complete_leave_a_loadable_record(tmp_path):
     with mock.patch.object(os, "write", side_effect=short_write):
         advance_counter(path, 0)
     assert os.listdir(tmp_path) == ["signer.sk"]
-    assert load_state(path) == replace(record, j=1)
+    assert load_state(path) == record._replace(j=1)
 
 
 def test_open_semecs_signer_writes_through(tmp_path, big_toy):

@@ -1,7 +1,6 @@
 import hashlib
 import os
 import time
-from dataclasses import fields, replace
 
 import pytest
 
@@ -13,7 +12,7 @@ from semecs.errors import (
     NotExtractable,
     StatePersistFailure,
 )
-from semecs.eta import eta_keygen_from_secrets
+from semecs.eta import EtaSigningState, eta_keygen_from_secrets, eta_sign
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
 from semecs import semecs as semecs_mod
 from semecs.keystore import (
@@ -21,7 +20,7 @@ from semecs.keystore import (
     semecs_public_from_record,
     serialize_record,
 )
-from semecs.schnorr import SchnorrKeyPair
+from semecs.schnorr import SchnorrKeyPair, schnorr_sign
 from semecs.semecs import (
     ENVELOPE_HEADER_LEN,
     SemecsSigningState,
@@ -342,8 +341,8 @@ def test_verify_counts_one_double_exp_and_no_exp():
 def test_verify_rejects_out_of_range_index(big_toy):
     state, pk = semecs_keygen_from_secret(big_toy, 4, y=13)
     env = semecs_sign(state, b"range check")
-    assert semecs_verify_indexed(pk, replace(env, j=4)) == (False, None)
-    assert semecs_verify_indexed(pk, replace(env, j=-1)) == (False, None)
+    assert semecs_verify_indexed(pk, env._replace(j=4)) == (False, None)
+    assert semecs_verify_indexed(pk, env._replace(j=-1)) == (False, None)
 
 
 def test_verify_rejects_wrong_c_length(big_toy):
@@ -382,11 +381,11 @@ def test_verify_rejects_padded_envelope_with_remainder(big_toy):
 @pytest.mark.parametrize(
     "tamper",
     [
-        lambda env, q: replace(env, c=env.c + b"\x00"),
-        lambda env, q: replace(env, c=env.c[:-1]),
-        lambda env, q: replace(env, m_tilde=b"extra"),
-        lambda env, q: replace(env, s=q),
-        lambda env, q: replace(env, s=-1),
+        lambda env, q: env._replace(c=env.c + b"\x00"),
+        lambda env, q: env._replace(c=env.c[:-1]),
+        lambda env, q: env._replace(m_tilde=b"extra"),
+        lambda env, q: env._replace(s=q),
+        lambda env, q: env._replace(s=-1),
     ],
     ids=["c-long", "c-short", "padded-remainder", "s-q", "s-negative"],
 )
@@ -410,7 +409,7 @@ def test_search_recovers_the_index(big_toy, rng):
         msg = b"searchable payload " + bytes([j])
         env = semecs_sign(state, msg)
         # the search path never reads env.j
-        ok, found, recovered = semecs_verify_search(pk, replace(env, j=9999))
+        ok, found, recovered = semecs_verify_search(pk, env._replace(j=9999))
         assert ok and found == j and recovered == msg
 
 
@@ -446,7 +445,7 @@ def test_search_requires_an_index():
     with pytest.raises(DuplicateBeta):
         pk.search_index
     # the key is refused before the envelope is looked at, even one with s >= q
-    for envelope in (env, replace(env, s=TOY_GROUP.q)):
+    for envelope in (env, env._replace(s=TOY_GROUP.q)):
         with pytest.raises(DuplicateBeta):
             semecs_verify_search(pk, envelope)
 
@@ -569,7 +568,7 @@ def test_build_search_index_singleton_and_duplicates():
 
 def test_public_key_holds_only_its_tokens(big_toy):
     _, pk = semecs_keygen_from_secret(big_toy, 5, y=7)
-    assert [f.name for f in fields(pk)] == ["params", "Y", "gammas", "betas"]
+    assert list(pk._fields) == ["params", "Y", "gammas", "betas"]
     assert pk.K == len(pk.betas) == 5
 
 
@@ -624,6 +623,47 @@ def test_public_record_round_trips_through_the_views():
     assert isinstance(loaded.betas, Tokens) and isinstance(pk.betas, Tokens)
     assert loaded == pk and hash(loaded) == hash(pk)
     assert serialize_record(record_from_semecs_public(loaded)) == serialize_record(record)
+
+
+def test_signer_states_compare_by_value_and_are_unhashable():
+    semecs = SemecsSigningState(TOY_GROUP, y=3, j=1, K=4)
+    eta = EtaSigningState(TOY_GROUP, y=3, r_cur=5, j=1, K=4)
+    # lock and persist take no part in ==
+    same_semecs = SemecsSigningState(TOY_GROUP, y=3, j=1, K=4, persist=print)
+    same_eta = EtaSigningState(TOY_GROUP, y=3, r_cur=5, j=1, K=4)
+    assert semecs.lock is not same_semecs.lock and eta.lock is not same_eta.lock
+    assert semecs == same_semecs and not semecs != same_semecs
+    assert eta == same_eta and not eta != same_eta
+    for other in (SemecsSigningState(BIG_TOY_GROUP, 3, 1, 4),
+                  SemecsSigningState(TOY_GROUP, 4, 1, 4),
+                  SemecsSigningState(TOY_GROUP, 3, 2, 4),
+                  SemecsSigningState(TOY_GROUP, 3, 1, 5),
+                  eta, (TOY_GROUP, 3, 1, 4)):
+        assert semecs != other
+    for other in (EtaSigningState(TOY_GROUP, 3, 6, 1, 4), EtaSigningState(TOY_GROUP, 3, 5, 2, 4)):
+        assert eta != other
+    for state in (semecs, eta):
+        with pytest.raises(TypeError):
+            hash(state)
+
+
+def test_every_record_type_replaces_and_round_trips(big_toy):
+    state, pk = semecs_keygen_from_secret(big_toy, 4, y=7)
+    env = semecs_sign(state, b"replace me")
+    eta_state, eta_pk = eta_keygen_from_secrets(big_toy, 2, y=3, r0=4)
+    kp = SchnorrKeyPair.from_private(big_toy, 5)
+    records = (pk, env, pk.search_index, eta_pk, eta_sign(eta_state, b"m"), kp,
+               schnorr_sign(kp, b"m"), record_from_semecs_public(pk))
+    for value in records:
+        first = value._fields[0]
+        assert value._replace() == value and type(value._replace()) is type(value)
+        changed = value._replace(**{first: None})
+        assert getattr(changed, first) is None and changed != value
+        assert changed._replace(**{first: getattr(value, first)}) == value
+    # a replaced public key builds its own search index
+    other = pk._replace(betas=tuple(pk.betas)[::-1])
+    assert other.search_index is not pk.search_index
+    assert other.search_index.order == tuple(pk.K - 1 - i for i in pk.search_index.order)
 
 
 def test_no_secret_appears_in_a_repr():
