@@ -26,6 +26,7 @@ from .group import (
     encode_scalar,
     decode_scalar,
     exp,
+    expect_alpha_powers,
     random_octets,
     random_scalar,
     scalar_sub_mul,
@@ -93,13 +94,14 @@ def eta_keygen_from_secrets(
     if not 1 <= y < params.q or not 1 <= r0 < params.q:
         raise ValueError("secrets must lie in [1, q-1]")
     h0, h1 = fdh_pair(params.q)
+    expect_alpha_powers(params, K + 1)
     big_y = exp(params, y)
+    L, element_len = params.scalar_len, params.element_len
     tokens = []
     r = r0
     for _ in range(K):
-        big_r = exp(params, r)
-        tokens.append(h1.eval_encoded(encode_element(params, big_r)))
-        r = h0.eval(encode_scalar(params, r))  # chain step
+        tokens.append(h1.eval_encoded(exp(params, r).to_bytes(element_len, "big")))
+        r = h0.eval(r.to_bytes(L, "big"))  # chain step
     state = EtaSigningState(params=params, y=y, r_cur=r0, j=0, K=K)
     pk = EtaPublicKey(params=params, Y=big_y, tokens=tuple(tokens))
     return state, pk

@@ -27,26 +27,28 @@ class Fdh:
         if q < 2:
             raise ValueError("q must be a prime >= 2")
         self.q, self.hash_id = q, hash_id
+        self.scalar_len = (q.bit_length() + 7) // 8
         nbits = 2 * q.bit_length()
         nbytes = (nbits + 7) // 8
         # one 4-octet counter per 32-octet digest of the expansion
         counters = tuple(b.to_bytes(4, "big") for b in range(-(-nbytes // 32)))
-        self._expansion = (bytes([hash_id]), nbytes, 8 * nbytes - nbits, counters)
-
-    @property
-    def scalar_len(self) -> int:
-        return (self.q.bit_length() + 7) // 8
+        self._expansion = (blake2s(bytes([hash_id])), nbytes, 8 * nbytes - nbits, counters)
 
     def eval(self, message: bytes) -> int:
-        """Deterministically hash an octet string into [1, q-1]."""
-        prefix, nbytes, shift, counters = self._expansion
-        data = prefix + bytes(message)
+        """Deterministically hash an octet string (any buffer) into [1, q-1]."""
+        prefixed, nbytes, shift, counters = self._expansion
+        h = prefixed.copy()
+        h.update(message)  # absorbed once; each counter extends a copy
         while True:
-            stream = b"".join([blake2s(data + c).digest() for c in counters])
+            stream = b""
+            for c in counters:
+                block = h.copy()
+                block.update(c)
+                stream += block.digest()
             value = (int.from_bytes(stream[:nbytes], "big") >> shift) % self.q
             if value:
                 return value
-            data += b"\xff"  # zero residue: re-derive
+            h.update(b"\xff")  # zero residue: re-derive
 
     def eval_encoded(self, message: bytes) -> bytes:
         """Like :meth:`eval` but returns the canonical scalar_len encoding."""

@@ -12,13 +12,16 @@ order-q subgroup of Z_p*.  Two interchangeable backends are provided:
   its security is far below 128 bits: NIST SP 800-57 Part 1 Rev. 5, Table 2,
   asks for a 3072-bit p at that level.
 
-Every power of the fixed generator alpha (key-generation commitments,
-Schnorr nonces, and the alpha^s half of the verifier's double exponentiation)
-is read from a fixed-base table built once per group
+Powers of the fixed generator alpha (key-generation commitments, Schnorr
+nonces, and the alpha^s half of the verifier's double exponentiation) are
+read from a fixed-base table built once per group
 (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3): row i holds
-alpha^(d * 2^(6i)) for every 6-bit digit d, so alpha^k is one multiply per
-row.  The schemes need no single power of any other base; the Y^e half of
-the double exponentiation Y^e * alpha^s is a builtin ``pow``.
+alpha^(d * 2^(8i)) for every octet d, so alpha^k is one multiply per octet
+of k.  A process builds it after its first ``_POW_PHASE`` powers (builtin
+``pow``), or once :func:`expect_alpha_powers` announces enough of them, so a
+one-shot sign or verify never builds it.  The schemes need no single power
+of any other base; the Y^e half of the double exponentiation Y^e * alpha^s
+is a builtin ``pow``.
 
 Scalar arithmetic on the production path avoids value-dependent branching at
 the Python level, and every table power of alpha does the same number of
@@ -41,12 +44,13 @@ from .errors import MalformedEncoding, RngFailure
 #: Largest subgroup order of a toy group, small enough for exhaustive search.
 DLOG_ORACLE_BOUND = 1 << 24
 
-#: Digit width of the fixed-base table for alpha: 43 rows of 64 entries
-#: (about 180 KiB, about a millisecond to build) for the 255-bit group.
-#: Wider digits cost fewer multiplies per power but a build time that every
-#: short-lived process pays.
-_COMB_BITS = 6
-_COMB_MASK = (1 << _COMB_BITS) - 1
+#: Digit width of the fixed-base table for alpha, one octet: 32 rows of 256
+#: entries (about 0.5 MiB, about 6 ms to build) for the 255-bit group.
+_COMB_BITS = 8
+
+#: Powers of alpha computed by ``pow`` before the table is built, about as
+#: many as its build costs (BENCH_22.json); a race on the count is harmless.
+_POW_PHASE = _pow_countdown = 64
 
 
 class GroupParams(namedtuple("GroupParams", "p q alpha")):
@@ -161,7 +165,7 @@ def _bump(field: str, n: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 def exp(params: GroupParams, k: int) -> int:
-    """Single exponentiation alpha^k mod p, from the group's fixed-base table."""
+    """Single exponentiation alpha^k mod p (see :func:`_alpha_pow`)."""
     _bump("exp_count")
     return _alpha_pow(params, k)
 
@@ -170,6 +174,14 @@ def double_exp(params: GroupParams, big_y: int, e: int, s: int) -> int:
     """Double exponentiation Y^e * alpha^s mod p, the verifier's one group operation."""
     _bump("double_exp_count")
     return pow(big_y, e, params.p) * _alpha_pow(params, s) % params.p
+
+
+def expect_alpha_powers(params: GroupParams, n: int) -> None:
+    """Build the alpha table now if n coming powers would build it anyway."""
+    global _pow_countdown
+    if n >= _pow_countdown:
+        _pow_countdown = 0
+        _alpha_table(params)
 
 
 @functools.lru_cache(maxsize=8)
@@ -185,7 +197,7 @@ def _alpha_table(params: GroupParams) -> tuple[tuple[int, ...], ...]:
     base = params.alpha
     for _ in range(-(-params.q.bit_length() // _COMB_BITS)):
         row = [1]
-        for _ in range(_COMB_MASK):
+        for _ in range((1 << _COMB_BITS) - 1):
             row.append(row[-1] * base % p)
         rows.append(tuple(row))
         base = row[-1] * base % p
@@ -193,17 +205,20 @@ def _alpha_table(params: GroupParams) -> tuple[tuple[int, ...], ...]:
 
 
 def _alpha_pow(params: GroupParams, k: int) -> int:
-    """alpha^k mod p from the fixed-base table: one multiply per row.
+    """alpha^k mod p: builtin ``pow`` for a process's first powers, then the table.
 
-    k is reduced mod q first (alpha has order q), so negative and oversized
-    exponents agree with ``pow``.  No branch depends on a digit.
+    The table path reduces k mod q (alpha has order q) and does one multiply
+    per row whatever the digits, so every exponent agrees with ``pow``.
     """
+    global _pow_countdown
+    if _pow_countdown > 0:
+        _pow_countdown -= 1
+        return pow(params.alpha, k, params.p)
     p = params.p
-    k %= params.q
+    rows = _alpha_table(params)
     acc = 1
-    for row in _alpha_table(params):
-        acc = acc * row[k & _COMB_MASK] % p
-        k >>= _COMB_BITS
+    for row, digit in zip(rows, (k % params.q).to_bytes(len(rows), "little")):
+        acc = acc * row[digit] % p
     return acc
 
 

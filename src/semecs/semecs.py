@@ -30,8 +30,8 @@ hashes, multiplies big integers and writes its tokens to its own slice of
 one anonymous shared mapping, then leaves through ``os._exit``; it takes no
 lock that another thread could hold, touches no other file and runs no
 handler of the embedding program, so a caller with threads may run keygen.
-The child inherits the fixed-base alpha table, which keygen builds for Y
-before it forks.  K = 1 never forks.
+Keygen builds the fixed-base alpha table before it forks, so every child
+inherits it.  K = 1 never forks.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .group import (
     encode_scalar,
     decode_scalar,
     exp,
+    expect_alpha_powers,
     random_scalar,
     scalar_sub_mul,
 )
@@ -285,14 +286,13 @@ def _derivation_input(params: GroupParams, y: int, j: int) -> bytes:
 def _token_range(params: GroupParams, y: int, lo: int, hi: int) -> bytes:
     """gamma_j || beta_j for every j in [lo, hi), concatenated."""
     h0, h1 = fdh_pair(params.q)
+    L, element_len = params.scalar_len, params.element_len
+    y_octets = encode_scalar(params, y)
     tokens = []
     for j in range(lo, hi):
-        seed = _derivation_input(params, y, j)
-        r_j = h0.eval(seed)
-        big_r = exp(params, r_j)
-        z_j = h1.eval(seed)
-        token_preimage = encode_element(params, big_r)
-        tokens.append(_xor(encode_scalar(params, z_j), h0.eval_encoded(token_preimage)))
+        seed = y_octets + j.to_bytes(8, "big")  # _derivation_input(params, y, j)
+        token_preimage = exp(params, h0.eval(seed)).to_bytes(element_len, "big")
+        tokens.append((h1.eval(seed) ^ h0.eval(token_preimage)).to_bytes(L, "big"))
         tokens.append(h1.eval_encoded(token_preimage))
     return b"".join(tokens)
 
@@ -362,7 +362,8 @@ def semecs_keygen_from_secret(
         raise ValueError(f"K exceeds the {INDEX_LEN}-octet envelope index")
     if not 1 <= y < params.q:
         raise ValueError("private key must lie in [1, q-1]")
-    big_y = exp(params, y)  # also builds the alpha table that forked children inherit
+    expect_alpha_powers(params, K + 1)  # before the fork: the children inherit the table
+    big_y = exp(params, y)
     buf, L = _token_buffer(params, y, K), params.scalar_len
     gammas, betas = Tokens(buf, 0, 2 * L, L, K), Tokens(buf, L, 2 * L, L, K)
     pk = SemecsPublicKey(params, big_y, gammas, betas)

@@ -12,6 +12,7 @@ from semecs.eta import (
     eta_sign,
     eta_verify,
 )
+from semecs import eta as eta_mod, group
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 
 from conftest import FixedSource, run_in_threads
@@ -38,6 +39,24 @@ def test_production_keygen_matches_oracle():
     assert pk.Y == expected["Y"]
     assert list(pk.tokens) == expected["tokens"]
     assert state.r_cur == r0 == expected["chain"][0]
+
+
+@pytest.mark.parametrize("K, tables", [(1, 0), (group._POW_PHASE, 1)])
+def test_keygen_builds_the_alpha_table_before_its_first_power(monkeypatch, K, tables):
+    # as in a fresh process: no power computed and no table built yet
+    monkeypatch.setattr(group, "_pow_countdown", group._POW_PHASE)
+    group._alpha_table.cache_clear()
+    tables_seen, real_exp = [], eta_mod.exp
+
+    def exp(params, k):
+        tables_seen.append(group._alpha_table.cache_info().currsize)
+        return real_exp(params, k)
+
+    monkeypatch.setattr(eta_mod, "exp", exp)
+    _, pk = eta_keygen_from_secrets(PRODUCTION_GROUP, K, y=0x7E57AB1E, r0=0xC4A15EED)
+    assert tables_seen == [tables] * (K + 1)
+    expected = eta_keygen_transcript(PRODUCTION_GROUP, 0x7E57AB1E, 0xC4A15EED, K)
+    assert list(pk.tokens) == expected["tokens"]
 
 
 @pytest.mark.parametrize("K", [1, 2, 8, 128])

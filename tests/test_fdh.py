@@ -42,6 +42,15 @@ def test_matches_independent_oracle(params, rng):
         msg = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
         assert h0.eval(msg) == oracle_fdh(params.q, 0, msg)
         assert h1.eval(msg) == oracle_fdh(params.q, 1, msg)
+        # any buffer hashes as its octets, a view into a larger one included
+        for buf in (bytearray(msg), memoryview(msg), memoryview(b"\x01" + msg)[1:]):
+            assert h0.eval(buf) == h0.eval(msg) and h1.eval(buf) == h1.eval(msg)
+
+
+def test_eval_refuses_text():
+    h0, _ = fdh_pair(PRODUCTION_GROUP.q)
+    with pytest.raises(TypeError):
+        h0.eval("abc")
 
 
 @pytest.mark.parametrize(
@@ -95,7 +104,7 @@ def test_eval_encoded_contracts(rng):
         for _ in range(100):
             msg = rng.getrandbits(64).to_bytes(8, "big")
             blob = h0.eval_encoded(msg)
-            assert len(blob) == params.scalar_len
+            assert len(blob) == params.scalar_len == h0.scalar_len
             assert decode_scalar(params, blob) == h0.eval(msg)
     h0_toy, _ = fdh_pair(TOY_GROUP.q)
     outs = {h0_toy.eval_encoded(bytes([i])) for i in range(256)}

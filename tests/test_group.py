@@ -1,6 +1,10 @@
 import doctest
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,14 +162,21 @@ def test_scalar_sub_mul_vectors():
 
 # --- fixed-base table for alpha ---------------------------------------------
 
+@pytest.fixture
+def table_phase(monkeypatch):
+    """This process is past its pow phase: alpha powers read the table."""
+    monkeypatch.setattr(group, "_pow_countdown", 0)
+
+
 _COMB_GROUPS = [TOY_GROUP, GroupParams(p=10007, q=5003, alpha=4), PRODUCTION_GROUP]
 _COMB_IDS = ["toy", "toy5000", "prod"]
 
 
 @pytest.mark.parametrize("params", _COMB_GROUPS, ids=_COMB_IDS)
-def test_alpha_table_matches_pow(params):
+def test_alpha_table_matches_pow(params, table_phase):
     q = params.q
-    edges = [0, 1, 63, 64, q - 1, q, q + 1, -1, 1 << 252, 1 << 254]
+    edges = [0, 1, 63, 64, 255, 256, q - 1, q, q + 1, -1, 1 << 252, 1 << 254,
+             (1 << 248) - 1, 1 << 248]
     rnd = random.Random(0xC0B)
     for k in edges + [rnd.randrange(0, q) for _ in range(1000)]:
         assert exp(params, k) == pow(params.alpha, k, params.p), k
@@ -176,22 +187,70 @@ def test_alpha_table_matches_pow(params):
 def test_alpha_table_matches_pow_property(data):
     params = data.draw(st.sampled_from(_COMB_GROUPS))
     k = data.draw(st.integers(min_value=-2 * params.q, max_value=2 * params.q))
-    assert exp(params, k) == pow(params.alpha, k, params.p)
+    with pytest.MonkeyPatch.context() as mp:  # the table path, in any test order
+        mp.setattr(group, "_pow_countdown", 0)
+        assert exp(params, k) == pow(params.alpha, k, params.p)
 
 
-def test_alpha_powers_take_the_table_path():
-    before = group._alpha_table.cache_info()
+def _table_calls():
+    info = group._alpha_table.cache_info()
+    return info.hits + info.misses
+
+
+def test_alpha_powers_take_the_table_path(table_phase):
+    before = _table_calls()
     exp(PRODUCTION_GROUP, 12345)
-    after = group._alpha_table.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert _table_calls() == before + 1
 
 
-def test_double_exp_reads_alpha_s_from_the_table():
+def test_double_exp_reads_alpha_s_from_the_table(table_phase):
     big_y = exp(PRODUCTION_GROUP, 7)
-    before = group._alpha_table.cache_info()
+    before = _table_calls()
     double_exp(PRODUCTION_GROUP, big_y, 12345, 67890)
-    after = group._alpha_table.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert _table_calls() == before + 1
+
+
+def test_first_powers_take_pow_then_the_table(monkeypatch):
+    monkeypatch.setattr(group, "_pow_countdown", 2)
+    g, before = PRODUCTION_GROUP, _table_calls()
+    assert exp(g, 5) == pow(g.alpha, 5, g.p)
+    assert double_exp(g, 8, 3, -6) == pow(8, 3, g.p) * pow(g.alpha, -6, g.p) % g.p
+    assert _table_calls() == before
+    exp(g, 7)
+    assert _table_calls() == before + 1
+
+
+def test_expected_bulk_of_powers_builds_the_table_at_once(monkeypatch):
+    monkeypatch.setattr(group, "_pow_countdown", group._POW_PHASE)
+    before = _table_calls()
+    group.expect_alpha_powers(PRODUCTION_GROUP, group._POW_PHASE - 1)
+    assert _table_calls() == before and group._pow_countdown == group._POW_PHASE
+    group.expect_alpha_powers(PRODUCTION_GROUP, group._POW_PHASE)
+    assert _table_calls() == before + 1 and group._pow_countdown == 0
+
+
+def test_a_process_first_powers_match_pow_and_build_no_table():
+    # what a one-shot verify or Schnorr sign process does
+    code = """if True:
+        from semecs import group, schnorr
+        from semecs.group import PRODUCTION_GROUP as g
+        from conftest import FixedSource
+        from oracles import schnorr_transcript
+        big_y = pow(g.alpha, 0xC0FFEE, g.p)
+        assert group.double_exp(g, big_y, 12345, 67890) == (
+            pow(big_y, 12345, g.p) * pow(g.alpha, 67890, g.p) % g.p)
+        kp = schnorr.SchnorrKeyPair.from_private(g, 0xC0FFEE)
+        sig = schnorr.schnorr_sign(kp, b"once", FixedSource(r=0xBEEF))
+        expected = schnorr_transcript(g, 0xC0FFEE, 0xBEEF, b"once")
+        assert (kp.Y, sig.s, sig.e) == (big_y, expected["s"], expected["e"])
+        print(group._alpha_table.cache_info().currsize)
+    """
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(Path(group.__file__).parents[1]), str(tests)])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 def test_parsed_parameters_share_the_constant_table_entry():
@@ -204,7 +263,7 @@ def test_parsed_parameters_share_the_constant_table_entry():
     assert group._alpha_table.cache_info().misses == before.misses
 
 
-def test_alpha_table_cache_stays_bounded():
+def test_alpha_table_cache_stays_bounded(table_phase):
     maxsize = group._alpha_table.cache_info().maxsize
     safe_qs = (23, 29, 41, 53, 83, 89, 113, 131, 173, 179, 191, 233)
     assert len(safe_qs) > maxsize

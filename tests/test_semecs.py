@@ -14,7 +14,7 @@ from semecs.errors import (
 )
 from semecs.eta import EtaSigningState, eta_keygen_from_secrets, eta_sign
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
-from semecs import semecs as semecs_mod
+from semecs import group, semecs as semecs_mod
 from semecs.keystore import (
     record_from_semecs_public,
     semecs_public_from_record,
@@ -182,6 +182,23 @@ def test_split_production_record_hashes_as_the_serial_one(cores, forks):
     cores(2)
     assert record_digest() == serial
     assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_keygen_builds_the_alpha_table_before_it_forks(cores, forks, monkeypatch):
+    # as in a fresh process: no power computed and no table built yet
+    monkeypatch.setattr(group, "_pow_countdown", group._POW_PHASE)
+    group._alpha_table.cache_clear()
+    tables_at_fork, recording_fork = [], os.fork
+
+    def fork():
+        tables_at_fork.append(group._alpha_table.cache_info().currsize)
+        return recording_fork()
+
+    cores(2)
+    monkeypatch.setattr(os, "fork", fork)
+    semecs_keygen_from_secret(PRODUCTION_GROUP, _SPLIT_K, y=0x1D6E51F0)
+    assert tables_at_fork == [1]
     assert_reaped(forks)
 
 
