@@ -2,9 +2,11 @@
 
 The preliminary multiple-time scheme.  Ephemeral scalars form a forward
 hash chain r_{j+1} = H0(r_j); the public key commits to each chain point via
-a token v_j = H1(R_j) with R_j = alpha^{r_j}.  Each signature carries a fresh
-128-bit randomizer x_j in place of the commitment, so the scheme needs an
-online RNG -- the limitation its successor removes.
+a token v_j = H1(R_j) with R_j = alpha^{r_j}.  Keygen hashes the chain, then
+splits the independent powers R_j across cores as SEMECS keygen does (see
+:mod:`semecs.semecs`).  Each signature carries a fresh 128-bit randomizer x_j
+in place of the commitment, so the scheme needs an online RNG -- the
+limitation its successor removes.
 
 Hash assignment (the source algorithm uses one untyped H): the chain step and
 the message hash use H0, verification tokens use H1.  Golden vectors pin this.
@@ -26,12 +28,11 @@ from .group import (
     encode_scalar,
     decode_scalar,
     exp,
-    expect_alpha_powers,
     random_octets,
     random_scalar,
     scalar_sub_mul,
 )
-from .semecs import INDEX_LEN, MAX_K
+from .semecs import INDEX_LEN, Tokens, _check_keygen, _token_buffer
 
 X_LEN = 16  # kappa = 128 bits of per-signature randomness
 ENVELOPE_VERSION = 1
@@ -87,24 +88,18 @@ def eta_keygen_from_secrets(
     params: GroupParams, K: int, y: int, r0: int
 ) -> tuple[EtaSigningState, EtaPublicKey]:
     """Deterministic key generation from (y, r0) -- the test seam."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if K > MAX_K:
-        raise ValueError(f"K exceeds the {INDEX_LEN}-octet envelope index")
-    if not 1 <= y < params.q or not 1 <= r0 < params.q:
-        raise ValueError("secrets must lie in [1, q-1]")
+    _check_keygen(params, K, y, r0)
     h0, h1 = fdh_pair(params.q)
-    expect_alpha_powers(params, K + 1)
     big_y = exp(params, y)
     L, element_len = params.scalar_len, params.element_len
-    tokens = []
-    r = r0
-    for _ in range(K):
-        tokens.append(h1.eval_encoded(exp(params, r).to_bytes(element_len, "big")))
-        r = h0.eval(r.to_bytes(L, "big"))  # chain step
+    chain = [r0]  # r_0 .. r_{K-1}, hashed here so that each range is independent
+    for _ in range(K - 1):
+        chain.append(h0.eval(chain[-1].to_bytes(L, "big")))
+    tokens = Tokens(_token_buffer(K, L, lambda lo, hi: b"".join([
+        h1.eval_encoded(exp(params, r).to_bytes(element_len, "big")) for r in chain[lo:hi]
+    ])), 0, L, L, K)
     state = EtaSigningState(params=params, y=y, r_cur=r0, j=0, K=K)
-    pk = EtaPublicKey(params=params, Y=big_y, tokens=tuple(tokens))
-    return state, pk
+    return state, EtaPublicKey(params=params, Y=big_y, tokens=tokens)
 
 
 def eta_keygen(

@@ -23,9 +23,10 @@ for y, which is why counter advancement must be persisted before a signature
 is released (see :mod:`semecs.keystore`).
 
 Key generation spends one fixed-base exponentiation and four hashes on each
-index, and the indices are independent.  From K = 512 up it forks one child
-per further core this process may run on, each over a contiguous range of
-at least 256 indices, and computes the first range itself.  A child only
+index (ETA: one of each), and the indices are independent; both schemes fill
+their tokens through :func:`_token_buffer`.  From K = 512 up it forks one
+child per further core this process may run on, each over a contiguous range
+of at least 256 indices, and computes the first range itself.  A child only
 hashes, multiplies big integers and writes its tokens to its own slice of
 one anonymous shared mapping, then leaves through ``os._exit``; it takes no
 lock that another thread could hold, touches no other file and runs no
@@ -74,10 +75,10 @@ MAX_K = (1 << (8 * INDEX_LEN)) - 1
 #: Keygen draws a fresh y this many times before giving up on distinct betas.
 INDEX_RETRY_BOUND = 8
 
-#: Fewest indices a keygen worker is given: the smallest range for which a
-#: two-way split was no slower than serial keygen on PRODUCTION_GROUP, in
-#: parent processes of 20 to 85 MB (BENCH_18.json).  Below it, forking a
-#: child costs about as much as the child saves.
+#: Fewest indices a keygen worker is given.  A two-way split at K = 512 on
+#: PRODUCTION_GROUP was no slower than serial keygen for SEMECS (BENCH_18.json)
+#: and for ETA, whose index costs one hash where SEMECS's costs four
+#: (BENCH_23.json).  Below it, forking costs about as much as the child saves.
 _MIN_INDICES_PER_WORKER = 256
 
 
@@ -139,7 +140,9 @@ class Tokens(Sequence):
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, i: int) -> bytes:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(self.n)[i])
         off = self.start + range(self.n)[i] * self.stride
         return self.buffer[off : off + self.width]
 
@@ -297,24 +300,23 @@ def _token_range(params: GroupParams, y: int, lo: int, hi: int) -> bytes:
     return b"".join(tokens)
 
 
-def _token_buffer(params: GroupParams, y: int, K: int) -> bytes:
-    """Every token of the key, in index order, split across the usable cores.
+def _token_buffer(K: int, width: int, token_range: Callable[[int, int], bytes]) -> bytes:
+    """K tokens of ``width`` octets from ``token_range``, split across the usable cores.
 
-    The index range is cut into one contiguous range per worker, with at
-    least ``_MIN_INDICES_PER_WORKER`` indices each.  A child is forked for
-    each range after the first and writes its own slice of one shared
-    mapping; a slice of the wrong size raises there, so exit status 0 means
-    the range is complete.  This process fills range 0, reaps every child
-    and copies the mapping out, so the result is the serial one octet for
-    octet.  If anything fails, every child still running is killed, and
-    every child is reaped before the error propagates; a child that fails
-    raises ChildProcessError.
+    ``token_range(lo, hi)`` returns tokens [lo, hi) concatenated, one alpha
+    power each.  The index range is cut into one contiguous range per worker,
+    with at least ``_MIN_INDICES_PER_WORKER`` indices each.  A child is forked
+    for each range after the first and writes its own slice of one shared
+    mapping; a slice of the wrong size raises there, so exit status 0 means the
+    range is complete.  This process fills range 0, reaps every child and
+    copies the mapping out, so the result is the serial one octet for octet.
+    If anything fails, the children still running are killed and all are
+    reaped before the error propagates; a failed child raises ChildProcessError.
     """
     import mmap  # here, not at the top: importing semecs loads no mmap module
 
     workers = max(1, min(len(os.sched_getaffinity(0)), K // _MIN_INDICES_PER_WORKER))
     bounds = [K * w // workers for w in range(workers + 1)]
-    width = 2 * params.scalar_len
     pids = []  # one child for each range after the first
     with mmap.mmap(-1, width * K) as shared:  # MAP_SHARED: children write these pages
         try:
@@ -323,12 +325,12 @@ def _token_buffer(params: GroupParams, y: int, K: int) -> bytes:
                 if pid == 0:
                     code = 1
                     try:
-                        shared[width * lo : width * hi] = _token_range(params, y, lo, hi)
+                        shared[width * lo : width * hi] = token_range(lo, hi)
                         code = 0
                     finally:
                         os._exit(code)
                 pids.append(pid)
-            shared[: width * bounds[1]] = _token_range(params, y, 0, bounds[1])
+            shared[: width * bounds[1]] = token_range(0, bounds[1])
         except BaseException:
             import signal  # only on failure: importing semecs loads no signal module
 
@@ -345,6 +347,15 @@ def _token_buffer(params: GroupParams, y: int, K: int) -> bytes:
         return shared[:]
 
 
+def _check_keygen(params: GroupParams, K: int, *secrets: int) -> None:
+    """Refuse K outside [1, MAX_K] or a secret outside [1, q-1], then expect K + 1 powers."""
+    if not 1 <= K <= MAX_K:
+        raise ValueError(f"K must lie in [1, {MAX_K}], the {INDEX_LEN}-octet envelope index")
+    if not all(1 <= secret < params.q for secret in secrets):
+        raise ValueError("secrets must lie in [1, q-1]")
+    expect_alpha_powers(params, K + 1)  # before the fork: the children inherit the table
+
+
 def semecs_keygen_from_secret(
     params: GroupParams, K: int, y: int
 ) -> tuple[SemecsSigningState, SemecsPublicKey]:
@@ -356,15 +367,9 @@ def semecs_keygen_from_secret(
     still works.  Large K is split across forked children; see the module
     docstring.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if K > MAX_K:
-        raise ValueError(f"K exceeds the {INDEX_LEN}-octet envelope index")
-    if not 1 <= y < params.q:
-        raise ValueError("private key must lie in [1, q-1]")
-    expect_alpha_powers(params, K + 1)  # before the fork: the children inherit the table
-    big_y = exp(params, y)
-    buf, L = _token_buffer(params, y, K), params.scalar_len
+    _check_keygen(params, K, y)
+    big_y, L = exp(params, y), params.scalar_len
+    buf = _token_buffer(K, 2 * L, lambda lo, hi: _token_range(params, y, lo, hi))
     gammas, betas = Tokens(buf, 0, 2 * L, L, K), Tokens(buf, L, 2 * L, L, K)
     pk = SemecsPublicKey(params, big_y, gammas, betas)
     return SemecsSigningState(params=params, y=y, j=0, K=K), pk

@@ -3,10 +3,11 @@ import os
 import random
 import sys
 import threading
+import time
 
 import pytest
 
-from semecs import keystore
+from semecs import eta as eta_mod, keystore, semecs as semecs_mod
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP
 
 
@@ -85,6 +86,29 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def fail_keygen_ranges(monkeypatch, in_child, exc):
+    """Make ETA and SEMECS keygen raise ``exc`` in the forked children, or else in range 0.
+
+    Wraps the ``token_range`` that ``_token_buffer`` receives.  In the
+    second case the children sleep first, so they are still running when
+    the parent fails.
+    """
+    real_buffer = semecs_mod._token_buffer
+
+    def token_buffer(K, width, token_range):
+        def failing_range(lo, hi):
+            if (lo > 0) == in_child:
+                raise exc
+            if lo > 0:
+                time.sleep(30)  # a child still running when the parent fails
+            return token_range(lo, hi)
+
+        return real_buffer(K, width, failing_range)
+
+    for module in (semecs_mod, eta_mod):
+        monkeypatch.setattr(module, "_token_buffer", token_buffer)
 
 
 @contextlib.contextmanager

@@ -21,7 +21,7 @@ from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 from semecs.schnorr import SchnorrKeyPair
 from semecs.semecs import semecs_keygen_from_secret, semecs_sign
 
-from conftest import assert_reaped
+from conftest import assert_reaped, fail_keygen_ranges
 from faults import ADVANCE_FAULTS, fails_on_call
 
 
@@ -54,19 +54,14 @@ def test_keygen_writes_both_files(tmp_path, capsys):
     assert len(record.payload) == (2 * 8 + 1) * L
 
 
+@pytest.mark.parametrize("scheme", ["semecs", "eta"])
 def test_failed_keygen_worker_is_a_state_error_and_writes_no_key(
-    tmp_path, capsys, cores, forks, monkeypatch
+    tmp_path, capsys, cores, forks, monkeypatch, scheme
 ):
-    def token_range(params, y, lo, hi):
-        if lo > 0:  # in the forked child
-            raise MemoryError
-        return real_range(params, y, lo, hi)
-
-    real_range = semecs_mod._token_range
     cores(2)
-    monkeypatch.setattr(semecs_mod, "_token_range", token_range)
+    fail_keygen_ranges(monkeypatch, in_child=True, exc=MemoryError())
     K = 2 * semecs_mod._MIN_INDICES_PER_WORKER
-    assert main(["keygen", "--scheme", "semecs", "--group", "toy", "-K", str(K),
+    assert main(["keygen", "--scheme", scheme, "--group", "toy", "-K", str(K),
                  "--out-prefix", str(tmp_path / "key")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -16,6 +16,8 @@ from semecs.eta import EtaSigningState, eta_keygen_from_secrets, eta_sign
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
 from semecs import group, semecs as semecs_mod
 from semecs.keystore import (
+    eta_public_from_record,
+    record_from_eta_public,
     record_from_semecs_public,
     semecs_public_from_record,
     serialize_record,
@@ -38,8 +40,8 @@ from semecs.semecs import (
     split_message,
 )
 
-from conftest import assert_reaped, no_new_descriptors, run_in_threads
-from oracles import semecs_keygen_transcript, semecs_sign_transcript
+from conftest import assert_reaped, fail_keygen_ranges, no_new_descriptors, run_in_threads
+from oracles import eta_keygen_transcript, semecs_keygen_transcript, semecs_sign_transcript
 
 
 # --- message split / join ---------------------------------------------------
@@ -154,21 +156,38 @@ def test_public_key_size_formula(K):
 # --- keygen split across forked workers --------------------------------------
 
 _SPLIT_K = 2 * semecs_mod._MIN_INDICES_PER_WORKER  # smallest K split two ways
+_SCHEMES = pytest.mark.parametrize("scheme", ["semecs", "eta"])
 
 
+def _keygen_tokens(scheme, params, K, secret):
+    """The tokens of a fresh key, in index order (gamma_j || beta_j for SEMECS)."""
+    if scheme == "eta":
+        return list(eta_keygen_from_secrets(params, K, y=secret, r0=secret + 1)[1].tokens)
+    _, pk = semecs_keygen_from_secret(params, K, y=secret)
+    return [gamma + beta for gamma, beta in zip(pk.gammas, pk.betas)]
+
+
+def _oracle_tokens(scheme, params, K, secret):
+    """What :func:`_keygen_tokens` returns, from ``tests/oracles.py``."""
+    if scheme == "eta":
+        return eta_keygen_transcript(params, secret, secret + 1, K)["tokens"]
+    rows = semecs_keygen_transcript(params, secret, K)["rows"]
+    return [row["gamma"] + row["beta"] for row in rows]
+
+
+@_SCHEMES
 @pytest.mark.parametrize(
     "K, n_forks",
     [(_SPLIT_K - 1, 0), (_SPLIT_K, 1), (_SPLIT_K + 257, 2)],  # the last splits 256/256/257
     ids=["below", "at", "odd-above"],
 )
-def test_split_keygen_matches_oracle(cores, forks, K, n_forks):
+def test_split_keygen_matches_oracle(cores, forks, K, n_forks, scheme):
     cores(3)
-    with no_new_descriptors():
-        _, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, K, y=0x5EED)
-    expected = semecs_keygen_transcript(BIG_TOY_GROUP, 0x5EED, K)
+    with no_new_descriptors(), count_group_ops() as ops:
+        tokens = _keygen_tokens(scheme, BIG_TOY_GROUP, K, 0x5EED)
+    assert ops.exp_count == K + 1  # the children's powers count too
     assert len(forks) == n_forks
-    assert list(pk.gammas) == [row["gamma"] for row in expected["rows"]]
-    assert list(pk.betas) == [row["beta"] for row in expected["rows"]]
+    assert tokens == _oracle_tokens(scheme, BIG_TOY_GROUP, K, 0x5EED)
     assert_reaped(forks)
 
 
@@ -185,7 +204,8 @@ def test_split_production_record_hashes_as_the_serial_one(cores, forks):
     assert_reaped(forks)
 
 
-def test_keygen_builds_the_alpha_table_before_it_forks(cores, forks, monkeypatch):
+@_SCHEMES
+def test_keygen_builds_the_alpha_table_before_it_forks(cores, forks, monkeypatch, scheme):
     # as in a fresh process: no power computed and no table built yet
     monkeypatch.setattr(group, "_pow_countdown", group._POW_PHASE)
     group._alpha_table.cache_clear()
@@ -197,13 +217,14 @@ def test_keygen_builds_the_alpha_table_before_it_forks(cores, forks, monkeypatch
 
     cores(2)
     monkeypatch.setattr(os, "fork", fork)
-    semecs_keygen_from_secret(PRODUCTION_GROUP, _SPLIT_K, y=0x1D6E51F0)
+    _keygen_tokens(scheme, PRODUCTION_GROUP, _SPLIT_K, 0x1D6E51F0)
     assert tables_at_fork == [1]
     assert_reaped(forks)
 
 
+@_SCHEMES
 @pytest.mark.parametrize("call", [1, 2])
-def test_keygen_fork_failure_leaves_no_child(cores, forks, monkeypatch, call):
+def test_keygen_fork_failure_leaves_no_child(cores, forks, monkeypatch, call, scheme):
     cores(3)  # two forks: the first fails, or the second after the first succeeded
     calls, recording_fork = [], os.fork
 
@@ -215,47 +236,31 @@ def test_keygen_fork_failure_leaves_no_child(cores, forks, monkeypatch, call):
 
     monkeypatch.setattr(os, "fork", fork)
     with no_new_descriptors(), pytest.raises(OSError, match="temporarily unavailable"):
-        semecs_keygen_from_secret(BIG_TOY_GROUP, 3 * semecs_mod._MIN_INDICES_PER_WORKER, y=7)
+        _keygen_tokens(scheme, BIG_TOY_GROUP, 3 * semecs_mod._MIN_INDICES_PER_WORKER, 7)
     assert len(forks) == call - 1
     assert_reaped(forks)
 
 
-def _worker_failing(in_child, exc):
-    """A ``_token_range`` that raises ``exc`` in the children, or else in range 0.
-
-    In the second case the children sleep first, so they are still running
-    when the parent fails.
-    """
-    real_range = semecs_mod._token_range
-
-    def token_range(params, y, lo, hi):
-        if (lo > 0) == in_child:
-            raise exc
-        if lo > 0:
-            time.sleep(30)  # a child still running when the parent fails
-        return real_range(params, y, lo, hi)
-
-    return token_range
-
-
+@_SCHEMES
 @pytest.mark.parametrize("exc", [RuntimeError("range 0 failed"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
-def test_parent_failure_kills_and_reaps_every_child(cores, forks, monkeypatch, exc):
+def test_parent_failure_kills_and_reaps_every_child(cores, forks, monkeypatch, exc, scheme):
     cores(3)
-    monkeypatch.setattr(semecs_mod, "_token_range", _worker_failing(False, exc))
+    fail_keygen_ranges(monkeypatch, in_child=False, exc=exc)
     started = time.monotonic()
     with no_new_descriptors(), pytest.raises(type(exc)):
-        semecs_keygen_from_secret(BIG_TOY_GROUP, _SPLIT_K * 2, y=7)
+        _keygen_tokens(scheme, BIG_TOY_GROUP, _SPLIT_K * 2, 7)
     assert time.monotonic() - started < 20  # the sleeping children were killed
     assert len(forks) == 2
     assert_reaped(forks)
 
 
-def test_failed_child_raises_child_process_error(cores, forks, monkeypatch):
+@_SCHEMES
+def test_failed_child_raises_child_process_error(cores, forks, monkeypatch, scheme):
     cores(2)
-    monkeypatch.setattr(semecs_mod, "_token_range", _worker_failing(True, RuntimeError()))
+    fail_keygen_ranges(monkeypatch, in_child=True, exc=RuntimeError())
     with no_new_descriptors(), pytest.raises(ChildProcessError):
-        semecs_keygen_from_secret(BIG_TOY_GROUP, _SPLIT_K, y=7)
+        _keygen_tokens(scheme, BIG_TOY_GROUP, _SPLIT_K, 7)
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -631,6 +636,19 @@ def test_tokens_view_behaves_like_the_tuple_of_its_tokens():
         assert not (view == other or other == view)
     assert hash(view) == hash(oracle)
     assert Tokens(buf, 0, 2, 2, 0) == ()
+
+
+def test_token_views_slice_to_tuples_of_tokens(big_toy):
+    _, pk = semecs_keygen_from_secret(big_toy, 5, y=0x5EED)
+    loaded = semecs_public_from_record(record_from_semecs_public(pk))
+    _, eta_pk = eta_keygen_from_secrets(big_toy, 5, y=3, r0=4)
+    eta_loaded = eta_public_from_record(record_from_eta_public(eta_pk))
+    for view in (loaded.gammas, loaded.betas, eta_pk.tokens, eta_loaded.tokens):
+        assert isinstance(view, Tokens)
+        tokens = list(view)
+        for cut in (slice(0, 2), slice(None), slice(3, None), slice(None, None, -2),
+                    slice(-2, 9), slice(4, 1)):
+            assert view[cut] == tuple(tokens[cut])
 
 
 def test_public_record_round_trips_through_the_views():
