@@ -23,8 +23,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional, get_type_hints
+from typing import NamedTuple, Optional, get_type_hints
 
 from . import eta as eta_mod
 from . import schnorr as schnorr_mod
@@ -42,8 +41,7 @@ OPERATIONS = ("keygen", "sign", "verify")
 # Energy model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyProfile:
+class EnergyProfile(NamedTuple):
     """Electrical character of a device: E = V * I * t plus per-unit constants."""
 
     name: str
@@ -65,13 +63,7 @@ def derive_profile(
         raise ValueError("volts and amps must be positive")
     nj_per_cycle = volts * amps / clock_hz * 1e9 if clock_hz else None
     nj_per_bit = volts * amps / bitrate * 1e9 if bitrate else None
-    return EnergyProfile(
-        name=name,
-        volts=volts,
-        amps=amps,
-        nj_per_cycle=nj_per_cycle,
-        nj_per_bit=nj_per_bit,
-    )
+    return EnergyProfile(name, volts, amps, nj_per_cycle, nj_per_bit)
 
 
 #: 8-bit AVR ATmega2560 measured at 5 V / 20 mA / 16 MHz; transmission via the
@@ -129,8 +121,7 @@ def energy_compute(
 # Benchmark records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     scheme: str
     operation: str
     iters: int
@@ -144,7 +135,7 @@ class BenchRecord:
     comm_uJ: Optional[float] = None
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+CSV_COLUMNS = BenchRecord._fields
 
 
 def _percentile(sorted_values, fraction: float) -> float:
@@ -241,7 +232,7 @@ def apply_energy(records, profile: EnergyProfile):
         compute_mj, comm_uj = energy_compute(
             profile, seconds=rec.median_ns * 1e-9, bits_tx=rec.tx_bytes * 8
         )
-        out.append(replace(rec, compute_mJ=compute_mj, comm_uJ=comm_uj))
+        out.append(rec._replace(compute_mJ=compute_mj, comm_uJ=comm_uj))
     return out
 
 
@@ -253,7 +244,7 @@ def write_csv(records, stream) -> None:
     """One row per record; csv writes None as an empty field and floats by repr."""
     writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    writer.writerows(asdict(rec) for rec in records)
+    writer.writerows(rec._asdict() for rec in records)
 
 
 def _optional_float(text: str) -> Optional[float]:
@@ -280,6 +271,6 @@ def read_csv(stream) -> list[BenchRecord]:
 def to_json(records) -> str:
     payload = {
         "schema_version": CSV_SCHEMA_VERSION,
-        "records": [asdict(rec) for rec in records],
+        "records": [rec._asdict() for rec in records],
     }
     return json.dumps(payload, indent=2)

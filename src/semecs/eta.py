@@ -19,7 +19,7 @@ import threading
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .errors import KeyExhausted, MalformedEncoding
+from .errors import MalformedEncoding
 from .fdh import fdh_pair
 from .group import (
     GroupParams,
@@ -32,35 +32,22 @@ from .group import (
     random_scalar,
     scalar_sub_mul,
 )
-from .semecs import INDEX_LEN, Tokens, _check_keygen, _token_buffer
+from .semecs import INDEX_LEN, Tokens, _SigningState, _check_keygen, _token_buffer
 
 X_LEN = 16  # kappa = 128 bits of per-signature randomness
 ENVELOPE_VERSION = 1
 
 
-class EtaSigningState:
+class EtaSigningState(_SigningState):
     """Mutable signer state: (y, current chain value, counter).
 
-    Threads may share one state: sign() holds ``lock`` while it mutates the
-    state in place.  Separate processes are serialized by the keystore's
-    directory ``flock``, and a stale handle fails with StaleState.  Previous
-    chain values are dropped on advance and are not recoverable from the
-    fields kept here.  Equal by (params, y, r_cur, j, K), never hashable,
-    and its repr shows no secret.
+    sign() mutates the state in place under ``lock``.  Previous chain values
+    are dropped on advance and are not recoverable from the fields kept here.
     """
 
     def __init__(self, params: GroupParams, y: int, r_cur: int, j: int, K: int) -> None:
         self.params, self.y, self.r_cur, self.j, self.K = params, y, r_cur, j, K
         self.lock = threading.Lock()
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.params, self.y, self.r_cur, self.j, self.K)
-                == (other.params, other.y, other.r_cur, other.j, other.K))
-
-    def __repr__(self) -> str:
-        return f"EtaSigningState(params={self.params!r}, j={self.j!r}, K={self.K!r})"
 
 
 class EtaPublicKey(NamedTuple):
@@ -119,17 +106,15 @@ def eta_sign(state: EtaSigningState, message: bytes, rng=None) -> EtaSignature:
     chain value is dropped before returning.
     """
     with state.lock:
-        if state.j >= state.K:
-            raise KeyExhausted(f"all {state.K} indices consumed")
+        j = state._unspent_index()
         params = state.params
         x = random_octets(X_LEN, rng)
         h0, _ = fdh_pair(params.q)
-        e = h0.eval(message + _index_octets(state.j) + x)
+        e = h0.eval(message + _index_octets(j) + x)
         s = scalar_sub_mul(params.q, state.r_cur, e, state.y)
-        sig = EtaSignature(s=s, x=x, j=state.j)
         state.r_cur = h0.eval(encode_scalar(params, state.r_cur))
-        state.j += 1
-    return sig
+        state.j = j + 1
+    return EtaSignature(s=s, x=x, j=j)
 
 
 def eta_verify(pk: EtaPublicKey, message: bytes, sig: EtaSignature) -> bool:

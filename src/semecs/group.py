@@ -58,7 +58,8 @@ class GroupParams(namedtuple("GroupParams", "p q alpha")):
 
     Immutable and freely shareable; a tuple, equal and hashing equal by value.
     Validated on construction, ``_replace`` included: q must divide p - 1 and
-    alpha must have multiplicative order exactly q.
+    alpha^q must be 1 mod p.  So the order of alpha divides q, and equals q
+    when q is prime, as in the three groups here; q's primality is not checked.
     """
 
     __slots__ = ()

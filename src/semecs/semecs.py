@@ -23,16 +23,20 @@ for y, which is why counter advancement must be persisted before a signature
 is released (see :mod:`semecs.keystore`).
 
 Key generation spends one fixed-base exponentiation and four hashes on each
-index (ETA: one of each), and the indices are independent; both schemes fill
-their tokens through :func:`_token_buffer`.  From K = 512 up it forks one
-child per further core this process may run on, each over a contiguous range
-of at least 256 indices, and computes the first range itself.  A child only
-hashes, multiplies big integers and writes its tokens to its own slice of
-one anonymous shared mapping, then leaves through ``os._exit``; it takes no
-lock that another thread could hold, touches no other file and runs no
-handler of the embedding program, so a caller with threads may run keygen.
-Keygen builds the fixed-base alpha table before it forks, so every child
-inherits it.  K = 1 never forks.
+index (ETA: one exponentiation and two hashes, the chain step and H1), and
+the indices are independent; both schemes fill their tokens through
+:func:`_token_buffer`.  From K = 512 up it forks one child per further core
+this process may run on, each over a contiguous range of at least 256
+indices, and computes the first range itself.  A child only hashes,
+multiplies big integers and writes its tokens to its own slice of one
+anonymous shared mapping, then leaves through ``os._exit``; it takes no lock
+that another thread could hold, touches no other file and runs no handler of
+the embedding program, so a caller with threads may run keygen.  Python 3.12+
+then warns that the child may deadlock (a DeprecationWarning, hidden by the
+default filters); it cannot, as it waits on no lock, and keygen leaves the
+process-wide, thread-unsafe warning filters alone.  Keygen builds the
+fixed-base alpha table before it forks, so every child inherits it.  K = 1
+never forks.
 """
 
 from __future__ import annotations
@@ -113,12 +117,6 @@ def join_message(m_bar: bytes, m_tilde: bytes, padded: bool) -> bytes:
     return trimmed[:-1]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("xor operands must have equal length")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -160,30 +158,46 @@ class Tokens(Sequence):
         return hash(tuple(self))
 
 
-class SemecsSigningState:
-    """The signer's entire secret: y plus the monotone counter j.
+class _SigningState:
+    """What both K-time signer states share.
 
     Threads may share one state: sign() holds ``lock`` from the capacity
     check to the counter update.  Separate processes are serialized by the
     keystore's directory ``flock``, and a stale handle fails with StaleState.
+    Equal by every field but ``lock`` and ``persist``, never hashable, and
+    its repr shows no secret.
+    """
+
+    def _value(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in ("lock", "persist")}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(params={self.params!r}, j={self.j!r}, K={self.K!r})"
+
+    def _unspent_index(self) -> int:
+        """The current index j; KeyExhausted once all K are spent.  Call under ``lock``."""
+        if self.j >= self.K:
+            raise KeyExhausted(f"all {self.K} indices consumed")
+        return self.j
+
+
+class SemecsSigningState(_SigningState):
+    """The signer's entire secret: y plus the monotone counter j.
+
     When ``persist`` is set, sign() calls it with the index about to be
     consumed and refuses to release the signature unless it returns; wire it
-    to the keystore's counter advancement for crash safety.  Equal by
-    (params, y, j, K), never hashable, and its repr shows no secret.
+    to the keystore's counter advancement for crash safety.
     """
 
     def __init__(self, params: GroupParams, y: int, j: int, K: int,
                  persist: Optional[Callable[[int], None]] = None) -> None:
         self.params, self.y, self.j, self.K, self.persist = params, y, j, K, persist
         self.lock = threading.Lock()
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.params, self.y, self.j, self.K) == (other.params, other.y, other.j, other.K)
-
-    def __repr__(self) -> str:
-        return f"SemecsSigningState(params={self.params!r}, j={self.j!r}, K={self.K!r})"
 
 
 class SearchIndex(NamedTuple):
@@ -280,10 +294,10 @@ class SignedEnvelope(NamedTuple):
 # Key generation
 # ---------------------------------------------------------------------------
 
-def _derivation_input(params: GroupParams, y: int, j: int) -> bytes:
+def _derivation_input(y_octets: bytes, j: int) -> bytes:
     # H_i(y || j): canonical y encoding followed by 8 octets of j, so the
     # layout stays unambiguous far beyond any practical K
-    return encode_scalar(params, y) + j.to_bytes(8, "big")
+    return y_octets + j.to_bytes(8, "big")
 
 
 def _token_range(params: GroupParams, y: int, lo: int, hi: int) -> bytes:
@@ -293,7 +307,7 @@ def _token_range(params: GroupParams, y: int, lo: int, hi: int) -> bytes:
     y_octets = encode_scalar(params, y)
     tokens = []
     for j in range(lo, hi):
-        seed = y_octets + j.to_bytes(8, "big")  # _derivation_input(params, y, j)
+        seed = _derivation_input(y_octets, j)
         token_preimage = exp(params, h0.eval(seed)).to_bytes(element_len, "big")
         tokens.append((h1.eval(seed) ^ h0.eval(token_preimage)).to_bytes(L, "big"))
         tokens.append(h1.eval_encoded(token_preimage))
@@ -407,16 +421,14 @@ def semecs_sign(state: SemecsSigningState, message: bytes) -> SignedEnvelope:
     the safe failure mode (reuse would surrender the key).
     """
     with state.lock:
-        if state.j >= state.K:
-            raise KeyExhausted(f"all {state.K} indices consumed")
-        params = state.params
+        j = state._unspent_index()
+        params, L = state.params, state.params.scalar_len
         h0, h1 = fdh_pair(params.q)
-        j = state.j
-        m_bar, m_tilde, padded = split_message(message, params.scalar_len)
-        seed = _derivation_input(params, state.y, j)
+        m_bar, m_tilde, padded = split_message(message, L)
+        seed = _derivation_input(encode_scalar(params, state.y), j)
         r_j = h0.eval(seed)
         z_j = h1.eval(seed)
-        c = _xor(m_bar, encode_scalar(params, z_j))
+        c = (int.from_bytes(m_bar, "big") ^ z_j).to_bytes(L, "big")
         e = h0.eval(c + m_tilde)
         s = scalar_sub_mul(params.q, r_j, e, state.y)
         envelope = SignedEnvelope(j=j, padded=padded, s=s, c=c, m_tilde=m_tilde)
@@ -457,7 +469,8 @@ def _verify(
             return None, None
     elif not hmac.compare_digest(candidate, pk.betas[j]):
         return None, None
-    m_bar = _xor(_xor(pk.gammas[j], h0.eval_encoded(element_octets)), env.c)
+    gamma, c = int.from_bytes(pk.gammas[j], "big"), int.from_bytes(env.c, "big")
+    m_bar = (gamma ^ h0.eval(element_octets) ^ c).to_bytes(params.scalar_len, "big")
     try:
         return j, join_message(m_bar, env.m_tilde, env.padded)
     except MalformedEncoding:

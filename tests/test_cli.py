@@ -567,6 +567,15 @@ def test_importing_the_cli_loads_no_process_machinery():
     assert wrapped <= loaded
 
 
+def test_importing_bench_loads_no_dataclasses():
+    # EnergyProfile and BenchRecord are named tuples like every other value type
+    code = "import sys, semecs.bench; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert not set(done.stdout.split()) & {"dataclasses", "inspect"}
+
+
 def _choices(command, dest):
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -42,6 +42,7 @@ from semecs.semecs import (
 
 from conftest import assert_reaped, fail_keygen_ranges, no_new_descriptors, run_in_threads
 from oracles import eta_keygen_transcript, semecs_keygen_transcript, semecs_sign_transcript
+from oracles import scalar_octets as oracle_scalar_octets
 
 
 # --- message split / join ---------------------------------------------------
@@ -281,6 +282,30 @@ def test_sign_transcript_matches_oracle():
     assert (expected["r"], expected["z"], expected["e"], expected["s"]) == (8, 4, 9, 3)
     ok, recovered = semecs_verify_indexed(pk, env)
     assert ok and recovered == msg
+
+
+@pytest.mark.parametrize("j", [0, semecs_mod.MAX_K - 1])
+@pytest.mark.parametrize("length", [1, 31, 32, 33, 200])
+def test_production_sign_matches_oracle(length, j):
+    # 32-octet scalars: the masks are XORed as integers, so check every octet of
+    # c, including a leading zero octet (the message opens with z_j's own first octet)
+    y = 0x5EC5 << 200 | 0xC0FFEE
+    z_first = oracle_scalar_octets(PRODUCTION_GROUP, semecs_sign_transcript(
+        PRODUCTION_GROUP, y, j, b"\x00" * 32)["z"])[:1]
+    msg = (z_first + bytes(range(0xFF, 0, -1)))[:length]
+    state = SemecsSigningState(PRODUCTION_GROUP, y, j, semecs_mod.MAX_K)
+    env = semecs_sign(state, msg)
+    expected = semecs_sign_transcript(PRODUCTION_GROUP, y, j, msg)
+    assert env.c[0] == 0 and len(env.c) == 32
+    assert (env.j, env.c, env.s, env.m_tilde, env.padded) == (
+        j, expected["c"], expected["s"], expected["m_tilde"], expected["padded"])
+    assert envelope_challenge(PRODUCTION_GROUP, env) == expected["e"]
+    if j == 0:  # recovery XORs gamma_j, H0(R') and c as integers too, and keeps
+        # a leading zero octet of M-bar
+        state, pk = semecs_keygen_from_secret(PRODUCTION_GROUP, 2, y)
+        assert semecs_verify_indexed(pk, env) == (True, msg)
+        state.j, zeros = 1, bytes(length)
+        assert semecs_verify_indexed(pk, semecs_sign(state, zeros)) == (True, zeros)
 
 
 def test_sign_performs_zero_group_operations(big_toy):
