@@ -50,6 +50,7 @@ from .keystore import (
     SignerStateRecord,
     advance_counter,
     load_state,
+    open_eta_signer,
     open_semecs_signer,
     save_state,
 )

@@ -86,11 +86,8 @@ def _cmd_sign(args, parser) -> int:
         blob = schnorr_mod.encode_signed_message(params, sig, message)
         index_note = "index: - (full-time scheme)"
     elif record.scheme_tag == keystore.SCHEME_ETA:
-        state = keystore.eta_state_from_record(record)
+        state = keystore.open_eta_signer(args.sk)
         sig = eta_mod.eta_sign(state, message)
-        new_payload = keystore.record_from_eta_state(state).payload
-        # durable advance before the envelope exists anywhere
-        keystore.advance_counter(args.sk, sig.j, new_payload=new_payload)
         blob = eta_mod.encode_signed_message(params, sig, message)
         index_note = f"index: {sig.j} of K={state.K}"
     else:

@@ -6,7 +6,8 @@ a token v_j = H1(R_j) with R_j = alpha^{r_j}.  Keygen hashes the chain, then
 splits the independent powers R_j across cores as SEMECS keygen does (see
 :mod:`semecs.semecs`).  Each signature carries a fresh 128-bit randomizer x_j
 in place of the commitment, so the scheme needs an online RNG -- the
-limitation its successor removes.
+limitation its successor removes.  Two signatures at one index give up y, so
+:func:`semecs.keystore.open_eta_signer` stores j and r_{j+1} before each release.
 
 Hash assignment (the source algorithm uses one untyped H): the chain step and
 the message hash use H0, verification tokens use H1.  Golden vectors pin this.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hmac
 import threading
 from collections.abc import Sequence
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .errors import MalformedEncoding
 from .fdh import fdh_pair
@@ -39,15 +40,16 @@ ENVELOPE_VERSION = 1
 
 
 class EtaSigningState(_SigningState):
-    """Mutable signer state: (y, current chain value, counter).
+    """Mutable signer state: (y, current chain value, counter); ``persist(j, r_{j+1})``.
 
     sign() mutates the state in place under ``lock``.  Previous chain values
     are dropped on advance and are not recoverable from the fields kept here.
     """
 
-    def __init__(self, params: GroupParams, y: int, r_cur: int, j: int, K: int) -> None:
+    def __init__(self, params: GroupParams, y: int, r_cur: int, j: int, K: int,
+                 persist: Optional[Callable[[int, int], None]] = None) -> None:
         self.params, self.y, self.r_cur, self.j, self.K = params, y, r_cur, j, K
-        self.lock = threading.Lock()
+        self.persist, self.lock = persist, threading.Lock()
 
 
 class EtaPublicKey(NamedTuple):
@@ -102,8 +104,8 @@ def eta_sign(state: EtaSigningState, message: bytes, rng=None) -> EtaSignature:
     """Sign with the current chain value, then advance the chain.
 
     e_j = H0(M || j || x_j), s_j = (r_j - e_j*y) mod q with the randomizer x_j
-    drawn from ``rng``.  The state moves to r_{j+1} = H0(r_j) and the old
-    chain value is dropped before returning.
+    drawn from ``rng``.  Once the persist hook (if any) returns, the state moves
+    to r_{j+1} = H0(r_j), and the old chain value is dropped before returning.
     """
     with state.lock:
         j = state._unspent_index()
@@ -112,8 +114,7 @@ def eta_sign(state: EtaSigningState, message: bytes, rng=None) -> EtaSignature:
         h0, _ = fdh_pair(params.q)
         e = h0.eval(message + _index_octets(j) + x)
         s = scalar_sub_mul(params.q, state.r_cur, e, state.y)
-        state.r_cur = h0.eval(encode_scalar(params, state.r_cur))
-        state.j = j + 1
+        state._persist_then_advance(j, r_cur=h0.eval(encode_scalar(params, state.r_cur)))
     return EtaSignature(s=s, x=x, j=j)
 
 

@@ -31,24 +31,22 @@ class Fdh:
         nbits = 2 * q.bit_length()
         nbytes = (nbits + 7) // 8
         # one 4-octet counter per 32-octet digest of the expansion
-        counters = tuple(b.to_bytes(4, "big") for b in range(-(-nbytes // 32)))
-        self._expansion = (blake2s(bytes([hash_id])), nbytes, 8 * nbytes - nbits, counters)
+        *counters, last = (b.to_bytes(4, "big") for b in range(-(-nbytes // 32)))
+        self._expansion = (blake2s(bytes([hash_id])), nbytes, 8 * nbytes - nbits, counters, last)
 
     def eval(self, message: bytes) -> int:
         """Deterministically hash an octet string (any buffer) into [1, q-1]."""
-        prefixed, nbytes, shift, counters = self._expansion
+        prefixed, nbytes, shift, counters, last = self._expansion
         h = prefixed.copy()
-        h.update(message)  # absorbed once; each counter extends a copy
-        while True:
-            stream = b""
-            for c in counters:
-                block = h.copy()
-                block.update(c)
-                stream += block.digest()
-            value = (int.from_bytes(stream[:nbytes], "big") >> shift) % self.q
-            if value:
-                return value
-            h.update(b"\xff")  # zero residue: re-derive
+        h.update(message)  # absorbed once; each counter but the last extends a copy
+        stream = b""
+        for c in counters:
+            block = h.copy()
+            block.update(c)
+            stream += block.digest()
+        h.update(last)
+        value = (int.from_bytes((stream + h.digest())[:nbytes], "big") >> shift) % self.q
+        return value or self.eval(bytes(message) + b"\xff")  # zero residue: re-derive
 
     def eval_encoded(self, message: bytes) -> bytes:
         """Like :meth:`eval` but returns the canonical scalar_len encoding."""

@@ -38,6 +38,7 @@ import contextvars
 import functools
 import secrets
 from collections import namedtuple
+from math import isqrt
 
 from .errors import MalformedEncoding, RngFailure
 
@@ -57,9 +58,9 @@ class GroupParams(namedtuple("GroupParams", "p q alpha")):
     """Parameters (p, q, alpha) of the order-q subgroup of Z_p*.
 
     Immutable and freely shareable; a tuple, equal and hashing equal by value.
-    Validated on construction, ``_replace`` included: q must divide p - 1 and
-    alpha^q must be 1 mod p.  So the order of alpha divides q, and equals q
-    when q is prime, as in the three groups here; q's primality is not checked.
+    Validated on construction, ``_replace`` included: q must divide p - 1,
+    alpha^q must be 1 mod p, and a q up to DLOG_ORACLE_BOUND must be prime
+    (trial division); records load no larger q but PRODUCTION_GROUP's.
     """
 
     __slots__ = ()
@@ -69,6 +70,8 @@ class GroupParams(namedtuple("GroupParams", "p q alpha")):
             raise ValueError("group parameters out of range")
         if (p - 1) % q != 0:
             raise ValueError("q does not divide p - 1")
+        if q <= DLOG_ORACLE_BOUND and any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+            raise ValueError("q is composite")
         if not 1 < alpha < p:
             raise ValueError("generator out of range")
         if pow(alpha, q, p) != 1:

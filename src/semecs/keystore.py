@@ -34,6 +34,7 @@ from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
 from .errors import CorruptState, IoFailure, MalformedEncoding, StaleState
 from .group import (
+    DLOG_ORACLE_BOUND,
     PRODUCTION_GROUP,
     GroupParams,
     decode_element,
@@ -135,13 +136,15 @@ def parse_record(data: bytes) -> SignerStateRecord:
     p, q, alpha = (
         int.from_bytes(take(int.from_bytes(take(2), "big")), "big") for _ in range(3)
     )
-    # GroupParams checks alpha^q = 1 with a pow whose cost grows with p;
-    # only toy groups and the 256-bit production group are ever written,
-    # and the production group is the validated constant itself
+    # GroupParams checks alpha^q = 1 with a pow whose cost grows with p, and
+    # tests only a toy q for primality; only toy groups and the 256-bit
+    # production group are ever written, and the latter is the constant itself
     if p.bit_length() > PRODUCTION_GROUP.p.bit_length():
         raise CorruptState(f"group modulus of {p.bit_length()} bits is too wide")
     params = PRODUCTION_GROUP
     if (p, q, alpha) != (params.p, params.q, params.alpha):
+        if q > DLOG_ORACLE_BOUND:
+            raise CorruptState("a group order past the toy bound must be the production group's")
         try:
             params = GroupParams(p=p, q=q, alpha=alpha)
         except ValueError as exc:
@@ -323,24 +326,20 @@ def schnorr_public_from_record(record: SignerStateRecord) -> int:
     )
 
 
+def _eta_payload(params: GroupParams, y: int, r_cur: int) -> bytes:
+    return encode_scalar(params, y) + encode_scalar(params, r_cur)
+
+
 def record_from_eta_state(state: eta_mod.EtaSigningState) -> SignerStateRecord:
-    payload = encode_scalar(state.params, state.y) + encode_scalar(
-        state.params, state.r_cur
-    )
+    payload = _eta_payload(state.params, state.y, state.r_cur)
     return _record(SCHEME_ETA, ROLE_STATE, state.params, payload, state.j, state.K)
 
 
 def eta_state_from_record(record: SignerStateRecord) -> eta_mod.EtaSigningState:
-    params = record.params
-    L = params.scalar_len
+    params, L = record.params, record.params.scalar_len
     payload = _payload(record, SCHEME_ETA, ROLE_STATE, 2 * L)
-    return eta_mod.EtaSigningState(
-        params=params,
-        y=_secret(params, payload[:L]),
-        r_cur=_secret(params, payload[L:]),
-        j=record.j,
-        K=record.K,
-    )
+    y, r_cur = _secret(params, payload[:L]), _secret(params, payload[L:])
+    return eta_mod.EtaSigningState(params, y, r_cur, record.j, record.K)
 
 
 def record_from_eta_public(pk: eta_mod.EtaPublicKey) -> SignerStateRecord:
@@ -395,4 +394,13 @@ def open_semecs_signer(path) -> semecs_mod.SemecsSigningState:
     """Load a SEMECS signer whose counter writes through to its state file."""
     state = semecs_state_from_record(load_state(path))
     state.persist = lambda j, _p=os.fspath(path): advance_counter(_p, j)
+    return state
+
+
+def open_eta_signer(path) -> eta_mod.EtaSigningState:
+    """Load an ETA signer whose counter and chain value write through to its state file."""
+    state = eta_state_from_record(load_state(path))
+    params, y, path = state.params, state.y, os.fspath(path)
+    state.persist = lambda j, r_next: advance_counter(
+        path, j, new_payload=_eta_payload(params, y, r_next))
     return state

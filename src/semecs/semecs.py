@@ -185,14 +185,24 @@ class _SigningState:
             raise KeyExhausted(f"all {self.K} indices consumed")
         return self.j
 
+    def _persist_then_advance(self, j: int, **moved) -> None:
+        """Spend index j: call ``persist(j, *moved.values())``, then set j + 1 and ``moved``.
+
+        Call under ``lock``.  A hook that raises becomes StatePersistFailure and
+        changes nothing, so sign() releases no signature.
+        """
+        if self.persist is not None:
+            try:
+                self.persist(j, *moved.values())
+            except Exception as exc:  # noqa: BLE001 - any hook failure holds the signature
+                raise StatePersistFailure(
+                    f"could not durably advance the counter past index {j}: {exc}"
+                ) from exc
+        vars(self).update(moved, j=j + 1)
+
 
 class SemecsSigningState(_SigningState):
-    """The signer's entire secret: y plus the monotone counter j.
-
-    When ``persist`` is set, sign() calls it with the index about to be
-    consumed and refuses to release the signature unless it returns; wire it
-    to the keystore's counter advancement for crash safety.
-    """
+    """The signer's entire secret: y plus the monotone counter j; ``persist(j)``."""
 
     def __init__(self, params: GroupParams, y: int, j: int, K: int,
                  persist: Optional[Callable[[int], None]] = None) -> None:
@@ -431,16 +441,8 @@ def semecs_sign(state: SemecsSigningState, message: bytes) -> SignedEnvelope:
         c = (int.from_bytes(m_bar, "big") ^ z_j).to_bytes(L, "big")
         e = h0.eval(c + m_tilde)
         s = scalar_sub_mul(params.q, r_j, e, state.y)
-        envelope = SignedEnvelope(j=j, padded=padded, s=s, c=c, m_tilde=m_tilde)
-        if state.persist is not None:
-            try:
-                state.persist(j)
-            except Exception as exc:  # noqa: BLE001 - any hook failure holds the signature
-                raise StatePersistFailure(
-                    f"could not durably advance the counter past index {j}: {exc}"
-                ) from exc
-        state.j = j + 1
-    return envelope
+        state._persist_then_advance(j)
+    return SignedEnvelope(j=j, padded=padded, s=s, c=c, m_tilde=m_tilde)
 
 
 # ---------------------------------------------------------------------------

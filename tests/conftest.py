@@ -9,6 +9,7 @@ import pytest
 
 from semecs import eta as eta_mod, keystore, semecs as semecs_mod
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP
+from signers import SIGNERS
 
 
 class FixedSource:
@@ -117,6 +118,12 @@ def no_new_descriptors():
     before = sorted(os.listdir("/proc/self/fd"))
     yield
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.fixture(params=sorted(SIGNERS))
+def signer(request):
+    """Each K-time signer in turn, behind the interface of ``signers.Signer``."""
+    return SIGNERS[request.param]
 
 
 @pytest.fixture

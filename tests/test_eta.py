@@ -12,7 +12,7 @@ from semecs.eta import (
     eta_sign,
     eta_verify,
 )
-from semecs import eta as eta_mod, group
+from semecs import eta as eta_mod, group, keystore
 from semecs.group import PRODUCTION_GROUP, TOY_GROUP
 
 from conftest import FixedSource, run_in_threads
@@ -83,13 +83,30 @@ def test_sign_transcript_with_forced_x():
     assert eta_verify(pk, msg, sig)
 
 
-def test_state_advances_and_drops_the_old_chain_value():
+def _held(value):
+    """``value`` and, if it is a tuple, everything nested in it."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _held(item)
+
+
+def test_state_advances_and_drops_the_old_chain_value(tmp_path):
     state, _ = eta_keygen_from_secrets(TOY_GROUP, 3, y=3, r0=4)
+    path = tmp_path / "eta.sk"
+    keystore.save_state(path, keystore.record_from_eta_state(state))
+    state = keystore.open_eta_signer(path)
     eta_sign(state, b"m", FixedSource(x=FORCED_X))
     assert state.j == 1
     assert state.r_cur == 8  # H0(encode(4)), from the golden chain
+    assert keystore.eta_state_from_record(keystore.load_state(path)) == state
     # structural forward security: the state holds nothing but (y, r_cur, j, K)
-    assert set(vars(state)) == {"params", "y", "r_cur", "j", "K", "lock"}
+    # and a persist hook, and neither a field nor the hook keeps r_0 = 4
+    assert set(vars(state)) == {"params", "y", "r_cur", "j", "K", "lock", "persist"}
+    hook = state.persist
+    captured = [*(hook.__defaults__ or ()), *(c.cell_contents for c in hook.__closure__ or ())]
+    held = [v for top in (*state._value().values(), *captured) for v in _held(top)]
+    assert captured and 4 not in held and b"\x04" not in held
 
 
 def test_exhaustion_after_k_signatures(rng):

@@ -54,6 +54,7 @@ def test_production_group_shape():
         (23, 7, 2),  # q does not divide p-1
         (23, 11, 5),  # 5 is not in the order-11 subgroup
         (23, 11, 1),  # trivial generator
+        (23, 22, 2),  # q divides p - 1 and 2^22 = 1, but q is composite
     ],
 )
 def test_invalid_params_rejected(p, q, alpha):

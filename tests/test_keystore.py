@@ -22,7 +22,6 @@ from semecs.keystore import (
     SignerStateRecord,
     advance_counter,
     load_state,
-    open_semecs_signer,
     parse_record,
     save_state,
     serialize_record,
@@ -30,16 +29,14 @@ from semecs.keystore import (
 from semecs.schnorr import SchnorrKeyPair, schnorr_keygen
 from semecs.semecs import (
     build_search_index,
-    envelope_challenge,
     extract_private_key,
     semecs_keygen,
     semecs_keygen_from_secret,
-    semecs_sign,
-    semecs_verify_indexed,
 )
 
 from conftest import run_in_threads
 from faults import ADVANCE_FAULTS, fails_on_call, short_write
+from signers import SIGNERS
 
 
 def _semecs_record(params=None, K=4, y=5):
@@ -175,6 +172,38 @@ def test_modulus_wider_than_production_is_corrupt():
     wide = record._replace(params=GroupParams(p=p, q=2, alpha=p - 1))
     with pytest.raises(CorruptState):
         parse_record(serialize_record(wide))
+
+
+def _with_group(record, p, q, alpha):
+    """The bytes of ``record`` with (p, q, alpha) for its group, re-tagged.
+
+    Written octet by octet, since GroupParams refuses some of these groups.
+    """
+    def group_field(*values):
+        return b"".join(map(keystore._len16, values))
+
+    body = serialize_record(record)[:-32]
+    old = group_field(*record.params)
+    assert body[8 : 8 + len(old)] == old
+    body = body[:8] + group_field(p, q, alpha) + body[8 + len(old):]
+    return body + hashlib.blake2s(body).digest()
+
+
+def test_composite_toy_group_order_is_corrupt():
+    record = keystore.record_from_schnorr_key(SchnorrKeyPair.from_private(TOY_GROUP, 3))
+    assert parse_record(_with_group(record, 23, 11, 2)) == record
+    with pytest.raises(CorruptState, match="composite"):
+        parse_record(_with_group(record, 23, 22, 2))  # 22 | 22 and 2^22 = 1 mod 23
+
+
+def test_large_group_order_other_than_production_is_corrupt():
+    # q = p - 1 passes GroupParams, which tests only a toy q for primality
+    P = PRODUCTION_GROUP
+    params = GroupParams(p=P.p, q=P.p - 1, alpha=4)
+    kp = SchnorrKeyPair.from_private(P, 9)
+    record = keystore.record_from_schnorr_key(kp)._replace(params=params)
+    with pytest.raises(CorruptState, match="production group"):
+        parse_record(serialize_record(record))
 
 
 _SECRET_LOADERS = {
@@ -386,10 +415,10 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path, call):
 
 
 @pytest.mark.parametrize("call", list(ADVANCE_FAULTS))
-def test_signer_hook_fails_closed_on_each_advance_fault(tmp_path, call):
-    state, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, 3, y=41)
+def test_signer_hook_fails_closed_on_each_advance_fault(tmp_path, signer, call):
+    record, pk = signer.keygen(BIG_TOY_GROUP, 3, 41)
     path = tmp_path / "signer.sk"
-    save_state(path, keystore.record_from_semecs_state(state))
+    save_state(path, record)
     target, name, real, n, on_disk_j = ADVANCE_FAULTS[call]
     advance = keystore.advance_counter
 
@@ -397,12 +426,13 @@ def test_signer_hook_fails_closed_on_each_advance_fault(tmp_path, call):
         with mock.patch.object(target, name, side_effect=fails_on_call(real, n)):
             return advance(*args, **kwargs)
 
-    signer = open_semecs_signer(path)
+    handle = signer.open(path)
+    before = handle._value()
     with mock.patch.object(keystore, "advance_counter", faulty_advance):
         with pytest.raises(StatePersistFailure, match="No space left on device") as info:
-            semecs_sign(signer, b"held back")
+            signer.sign(handle, b"held back")
     assert isinstance(info.value.__cause__, IoFailure)
-    assert signer.j == 0
+    assert handle._value() == before  # j, and ETA's chain value, kept
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".smks.")]
     assert load_state(path).j == on_disk_j
 
@@ -410,15 +440,15 @@ def test_signer_hook_fails_closed_on_each_advance_fault(tmp_path, call):
     if on_disk_j:
         # index 0 is burned on disk; the stale handle must not release it
         with pytest.raises(StatePersistFailure) as info:
-            semecs_sign(signer, b"stale handle")
+            signer.sign(handle, b"stale handle")
         assert isinstance(info.value.__cause__, StaleState)
-        assert signer.j == 0
+        assert handle._value() == before
     else:
-        released.append(semecs_sign(signer, b"retried"))
+        released.append(signer.sign(handle, b"retried"))
         assert released[-1].j == 0
-    released.append(semecs_sign(open_semecs_signer(path), b"fresh handle"))
+    released.append(signer.sign(signer.open(path), b"fresh handle"))
     assert released[-1].j == 1
-    assert all(semecs_verify_indexed(pk, env)[0] for env in released)
+    assert all(signer.verify(pk, release) for release in released)
 
 
 def test_short_writes_that_complete_leave_a_loadable_record(tmp_path):
@@ -431,73 +461,85 @@ def test_short_writes_that_complete_leave_a_loadable_record(tmp_path):
     assert load_state(path) == record._replace(j=1)
 
 
-def test_open_semecs_signer_writes_through(tmp_path, big_toy):
-    state, pk = semecs_keygen_from_secret(big_toy, 4, y=77)
+def test_open_signer_writes_through(tmp_path, big_toy, signer):
+    record, pk = signer.keygen(big_toy, 4, 77)
     path = tmp_path / "signer.sk"
-    save_state(path, keystore.record_from_semecs_state(state))
-    signer = open_semecs_signer(path)
-    env = semecs_sign(signer, b"write through")
-    assert env.j == 0
+    save_state(path, record)
+    handle = signer.open(path)
+    release = signer.sign(handle, b"write through")
+    assert release.j == 0 and signer.verify(pk, release)
     assert load_state(path).j == 1
-    # a second handle opened from disk continues at the next index
-    signer2 = open_semecs_signer(path)
-    assert semecs_sign(signer2, b"next").j == 1
+    # the file holds the whole advanced state; a second handle continues from it
+    handle2 = signer.open(path)
+    assert handle2 == handle
+    assert signer.sign(handle2, b"next").j == 1
 
 
-def test_crash_between_advance_and_release_burns_the_index(tmp_path, big_toy):
-    state, _ = semecs_keygen_from_secret(big_toy, 8, y=123)
+def test_restarted_eta_signer_never_reuses_an_index(tmp_path, big_toy):
+    signer = SIGNERS["eta"]
+    record, pk = signer.keygen(big_toy, 4, 77)
+    path = tmp_path / "eta.sk"
+    save_state(path, record)
+    first = signer.sign(keystore.open_eta_signer(path), b"before the restart")
+    assert load_state(path).j == 1
+    second = signer.sign(keystore.open_eta_signer(path), b"after the restart")
+    assert (first.j, second.j) == (0, 1)
+    assert load_state(path).j == 2
+    assert signer.verify(pk, first) and signer.verify(pk, second)
+
+
+def test_crash_between_advance_and_release_burns_the_index(tmp_path, big_toy, signer):
+    record, _ = signer.keygen(big_toy, 8, 123)
     path = tmp_path / "signer.sk"
-    save_state(path, keystore.record_from_semecs_state(state))
-
-    released = []
+    save_state(path, record)
 
     class Crash(Exception):
         pass
 
-    def crashing_persist(j):
-        advance_counter(path, j)
+    handle = signer.open(path)
+    durable = handle.persist
+
+    def crashing_persist(*args):
+        durable(*args)
         raise Crash  # simulated power loss after the durable write
 
-    signer = open_semecs_signer(path)
-    signer.persist = crashing_persist
-    with pytest.raises(Exception):
-        semecs_sign(signer, b"never released")
+    handle.persist = crashing_persist
+    with pytest.raises(StatePersistFailure) as info:
+        signer.sign(handle, b"never released")
+    assert isinstance(info.value.__cause__, Crash)
     assert load_state(path).j == 1  # index 0 burned
 
-    recovered = open_semecs_signer(path)
-    env = semecs_sign(recovered, b"released after recovery")
-    released.append(env.j)
-    assert released == [1]
+    assert signer.sign(signer.open(path), b"released after recovery").j == 1
 
 
 _RACE_SIGNS = 100
 
 
-def _race_signer(path, tag, barrier, results):
+def _race_signer(signer, path, tag, barrier, results):
     """Open-sign-persist ``_RACE_SIGNS`` times; report (j, e, s) of each release."""
     barrier.wait(timeout=60)
     released, lost = [], 0
     for i in range(_RACE_SIGNS):
-        signer = open_semecs_signer(path)
         try:
-            env = semecs_sign(signer, b"%s message %d" % (tag, i))
+            release = signer.sign(signer.open(path), b"%s message %d" % (tag, i))
         except StatePersistFailure:
             lost += 1  # the other process won this index
             continue
-        released.append((env.j, envelope_challenge(signer.params, env), env.s))
+        released.append(release[:3])
     results.put((released, lost))
 
 
-def test_two_processes_never_release_one_index(tmp_path):
+def test_two_processes_never_release_one_index(tmp_path, signer):
     y = 0x5EC5
-    state, _ = semecs_keygen_from_secret(PRODUCTION_GROUP, 2 * _RACE_SIGNS + 8, y=y)
+    record, _ = signer.keygen(PRODUCTION_GROUP, 2 * _RACE_SIGNS + 8, y)
     path = tmp_path / "shared.sk"
-    save_state(path, keystore.record_from_semecs_state(state))
+    save_state(path, record)
     ctx = multiprocessing.get_context("fork")
     barrier = ctx.Barrier(2)
     results = ctx.Queue()
     workers = [
-        ctx.Process(target=_race_signer, args=(os.fspath(path), tag, barrier, results))
+        ctx.Process(target=_race_signer,
+                    args=(signer, os.fspath(path), tag, barrier, results))
         for tag in (b"a", b"b")
     ]
     for worker in workers:
@@ -525,15 +567,16 @@ def test_two_processes_never_release_one_index(tmp_path):
     assert len(released) + sum(lost for _, lost in outcomes) == 2 * _RACE_SIGNS
 
 
-def test_threads_sharing_one_signer_handle_release_each_index_once(tmp_path):
-    state, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, 40, y=41)
+def test_threads_sharing_one_signer_handle_release_each_index_once(tmp_path, signer):
+    record, pk = signer.keygen(BIG_TOY_GROUP, 40, 41)
     path = tmp_path / "signer.sk"
-    save_state(path, keystore.record_from_semecs_state(state))
-    signer = open_semecs_signer(path)
-    envs = run_in_threads(lambda: semecs_sign(signer, b"one shared handle"), calls=10)
-    assert len({env.j for env in envs}) == len(envs) == 40
+    save_state(path, record)
+    handle = signer.open(path)
+    releases = run_in_threads(lambda: signer.sign(handle, b"one shared handle"), calls=10)
+    assert len({release.j for release in releases}) == len(releases) == 40
     assert load_state(path).j == 40
-    assert all(semecs_verify_indexed(pk, env)[0] for env in envs)
+    assert signer.open(path) == handle
+    assert all(signer.verify(pk, release) for release in releases)
 
 
 # --- search index ------------------------------------------------------------
