@@ -50,8 +50,8 @@ from .keystore import (
     SignerStateRecord,
     advance_counter,
     load_state,
-    open_eta_signer,
     open_semecs_signer,
+    open_signer,
     save_state,
 )
 from .schnorr import (

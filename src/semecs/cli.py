@@ -47,18 +47,7 @@ def _cmd_keygen(args, parser) -> int:
         parser.error(f"--scheme {args.scheme} requires -K")
     params = _GROUPS[args.group]
     started = time.perf_counter()
-    if args.scheme == "schnorr":
-        kp = schnorr_mod.schnorr_keygen(params)
-        sk_record = keystore.record_from_schnorr_key(kp)
-        pk_record = keystore.record_from_schnorr_public(params, kp.Y)
-    elif args.scheme == "eta":
-        state, pk = eta_mod.eta_keygen(params, args.K)
-        sk_record = keystore.record_from_eta_state(state)
-        pk_record = keystore.record_from_eta_public(pk)
-    else:
-        state, pk = semecs_mod.semecs_keygen(params, args.K)
-        sk_record = keystore.record_from_semecs_state(state)
-        pk_record = keystore.record_from_semecs_public(pk)
+    sk_record, pk_record = keystore.keygen_records(args.scheme, params, args.K)
     elapsed = time.perf_counter() - started
     sk_path, pk_path = args.out_prefix + ".sk", args.out_prefix + ".pk"
     keystore.save_state(sk_path, sk_record)
@@ -85,16 +74,15 @@ def _cmd_sign(args, parser) -> int:
         sig = schnorr_mod.schnorr_sign(kp, message)
         blob = schnorr_mod.encode_signed_message(params, sig, message)
         index_note = "index: - (full-time scheme)"
-    elif record.scheme_tag == keystore.SCHEME_ETA:
-        state = keystore.open_eta_signer(args.sk)
-        sig = eta_mod.eta_sign(state, message)
-        blob = eta_mod.encode_signed_message(params, sig, message)
-        index_note = f"index: {sig.j} of K={state.K}"
     else:
-        state = keystore.open_semecs_signer(args.sk)
-        envelope = semecs_mod.semecs_sign(state, message)
-        blob = envelope.to_bytes(params)
-        index_note = f"index: {envelope.j} of K={state.K}"
+        state = keystore.open_signer(args.sk, record)
+        if record.scheme_tag == keystore.SCHEME_ETA:
+            sig = eta_mod.eta_sign(state, message)
+            blob = eta_mod.encode_signed_message(params, sig, message)
+        else:
+            sig = semecs_mod.semecs_sign(state, message)
+            blob = sig.to_bytes(params)
+        index_note = f"index: {sig.j} of K={state.K}"
 
     with open(args.out, "wb") as fh:
         fh.write(blob)

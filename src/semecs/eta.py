@@ -7,7 +7,7 @@ splits the independent powers R_j across cores as SEMECS keygen does (see
 :mod:`semecs.semecs`).  Each signature carries a fresh 128-bit randomizer x_j
 in place of the commitment, so the scheme needs an online RNG -- the
 limitation its successor removes.  Two signatures at one index give up y, so
-:func:`semecs.keystore.open_eta_signer` stores j and r_{j+1} before each release.
+:func:`semecs.keystore.open_signer` stores j and r_{j+1} before each release.
 
 Hash assignment (the source algorithm uses one untyped H): the chain step and
 the message hash use H0, verification tokens use H1.  Golden vectors pin this.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import hmac
 import threading
 from collections.abc import Sequence
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import MalformedEncoding
 from .fdh import fdh_pair
@@ -46,10 +46,9 @@ class EtaSigningState(_SigningState):
     are dropped on advance and are not recoverable from the fields kept here.
     """
 
-    def __init__(self, params: GroupParams, y: int, r_cur: int, j: int, K: int,
-                 persist: Optional[Callable[[int, int], None]] = None) -> None:
+    def __init__(self, params: GroupParams, y: int, r_cur: int, j: int, K: int) -> None:
         self.params, self.y, self.r_cur, self.j, self.K = params, y, r_cur, j, K
-        self.persist, self.lock = persist, threading.Lock()
+        self.persist, self.lock = None, threading.Lock()
 
 
 class EtaPublicKey(NamedTuple):

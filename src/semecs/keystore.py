@@ -34,7 +34,6 @@ from . import schnorr as schnorr_mod
 from . import semecs as semecs_mod
 from .errors import CorruptState, IoFailure, MalformedEncoding, StaleState
 from .group import (
-    DLOG_ORACLE_BOUND,
     PRODUCTION_GROUP,
     GroupParams,
     decode_element,
@@ -78,6 +77,8 @@ class SignerStateRecord(NamedTuple):
 
 
 def group_id_for(params: GroupParams) -> int:
+    if not params.is_toy and params != PRODUCTION_GROUP:  # only a toy q is tested prime
+        raise ValueError("a group order past the toy bound must be the production group's")
     return GROUP_TOY if params.is_toy else GROUP_PRODUCTION
 
 
@@ -136,21 +137,19 @@ def parse_record(data: bytes) -> SignerStateRecord:
     p, q, alpha = (
         int.from_bytes(take(int.from_bytes(take(2), "big")), "big") for _ in range(3)
     )
-    # GroupParams checks alpha^q = 1 with a pow whose cost grows with p, and
-    # tests only a toy q for primality; only toy groups and the 256-bit
-    # production group are ever written, and the latter is the constant itself
+    # GroupParams checks alpha^q = 1 with a pow whose cost grows with p;
+    # only toy groups and the 256-bit production group are ever written,
+    # and the production group is the validated constant itself
     if p.bit_length() > PRODUCTION_GROUP.p.bit_length():
         raise CorruptState(f"group modulus of {p.bit_length()} bits is too wide")
     params = PRODUCTION_GROUP
-    if (p, q, alpha) != (params.p, params.q, params.alpha):
-        if q > DLOG_ORACLE_BOUND:
-            raise CorruptState("a group order past the toy bound must be the production group's")
-        try:
+    try:
+        if (p, q, alpha) != (params.p, params.q, params.alpha):
             params = GroupParams(p=p, q=q, alpha=alpha)
-        except ValueError as exc:
-            raise CorruptState(f"invalid group parameters: {exc}") from exc
-    if group_id != group_id_for(params):
-        raise CorruptState(f"group byte {group_id:#x} does not match the parameters")
+        if group_id != group_id_for(params):
+            raise CorruptState(f"group byte {group_id:#x} does not match the parameters")
+    except ValueError as exc:
+        raise CorruptState(f"invalid group parameters: {exc}") from exc
     j = int.from_bytes(take(8), "big")
     K = int.from_bytes(take(8), "big")
     payload = take(int.from_bytes(take(4), "big"))
@@ -336,10 +335,16 @@ def record_from_eta_state(state: eta_mod.EtaSigningState) -> SignerStateRecord:
 
 
 def eta_state_from_record(record: SignerStateRecord) -> eta_mod.EtaSigningState:
-    params, L = record.params, record.params.scalar_len
+    params = record.params
+    L = params.scalar_len
     payload = _payload(record, SCHEME_ETA, ROLE_STATE, 2 * L)
-    y, r_cur = _secret(params, payload[:L]), _secret(params, payload[L:])
-    return eta_mod.EtaSigningState(params, y, r_cur, record.j, record.K)
+    return eta_mod.EtaSigningState(
+        params=params,
+        y=_secret(params, payload[:L]),
+        r_cur=_secret(params, payload[L:]),
+        j=record.j,
+        K=record.K,
+    )
 
 
 def record_from_eta_public(pk: eta_mod.EtaPublicKey) -> SignerStateRecord:
@@ -390,17 +395,33 @@ def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPub
     )
 
 
-def open_semecs_signer(path) -> semecs_mod.SemecsSigningState:
-    """Load a SEMECS signer whose counter writes through to its state file."""
-    state = semecs_state_from_record(load_state(path))
-    state.persist = lambda j, _p=os.fspath(path): advance_counter(_p, j)
+def keygen_records(scheme: str, params: GroupParams, K: Optional[int] = None):
+    """A fresh key's (secret, public) records; ``scheme`` is one of SCHEME_NAMES' values."""
+    if scheme == "schnorr":
+        kp = schnorr_mod.schnorr_keygen(params)
+        return record_from_schnorr_key(kp), record_from_schnorr_public(params, kp.Y)
+    if scheme == "eta":
+        state, pk = eta_mod.eta_keygen(params, K)
+        return record_from_eta_state(state), record_from_eta_public(pk)
+    state, pk = semecs_mod.semecs_keygen(params, K)
+    return record_from_semecs_state(state), record_from_semecs_public(pk)
+
+
+def open_signer(path, record=None):
+    """Load a SEMECS or ETA signer whose state writes through to ``path`` before each release.
+
+    ``record`` is the file's record when the caller has already loaded it.
+    """
+    record = load_state(path) if record is None else record
+    if record.scheme_tag == SCHEME_ETA:
+        state = eta_state_from_record(record)
+        params, y = state.params, state.y
+        state.persist = lambda j, r_next: advance_counter(
+            path, j, new_payload=_eta_payload(params, y, r_next))
+    else:
+        state = semecs_state_from_record(record)
+        state.persist = lambda j: advance_counter(path, j)
     return state
 
 
-def open_eta_signer(path) -> eta_mod.EtaSigningState:
-    """Load an ETA signer whose counter and chain value write through to its state file."""
-    state = eta_state_from_record(load_state(path))
-    params, y, path = state.params, state.y, os.fspath(path)
-    state.persist = lambda j, r_next: advance_counter(
-        path, j, new_payload=_eta_payload(params, y, r_next))
-    return state
+open_semecs_signer = open_signer  # the name that callers written for SEMECS alone use

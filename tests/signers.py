@@ -1,7 +1,7 @@
 """The two K-time signers behind one interface, for the durable-signing tests.
 
-Each :class:`Signer` makes a state record, opens it as a signer whose counter
-writes through to its file, signs, and verifies what it released.  A release
+Each :class:`Signer` makes a state record, signs on a handle that
+``keystore.open_signer`` opened from its file, and verifies what it released.  A release
 carries the transcript (e, s) that ``extract_private_key`` solves, so a test
 can show what a reused index would give away.
 """
@@ -31,7 +31,6 @@ class Release(NamedTuple):
 
 class Signer(NamedTuple):
     keygen: Callable  # (params, K, y) -> (state record, public key)
-    open: Callable  # path -> a signer whose counter writes through to the file
     sign: Callable  # (signer, message) -> Release
     verify: Callable  # (public key, Release) -> bool
 
@@ -60,11 +59,11 @@ def _eta_sign(signer, message):
 
 SIGNERS = {
     "eta": Signer(
-        _eta_keygen, keystore.open_eta_signer, _eta_sign,
+        _eta_keygen, _eta_sign,
         lambda pk, r: eta_verify(pk, r.message, r.signature),
     ),
     "semecs": Signer(
-        _semecs_keygen, keystore.open_semecs_signer, _semecs_sign,
+        _semecs_keygen, _semecs_sign,
         lambda pk, r: semecs_verify_indexed(pk, r.signature)[0],
     ),
 }

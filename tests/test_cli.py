@@ -269,6 +269,17 @@ def test_schnorr_sign_never_advances_a_counter(tmp_path, msgfile, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scheme", ["eta", "semecs"])
+def test_sign_reads_the_state_file_twice(tmp_path, msgfile, capsys, scheme):
+    # once to dispatch on the scheme, once for advance_counter's compare-and-set
+    prefix = _keygen(tmp_path, scheme=scheme, K=3)
+    with mock.patch.object(keystore, "load_state", wraps=keystore.load_state) as load:
+        assert main(["sign", "--sk", f"{prefix}.sk", "--in", str(msgfile),
+                     "--out", str(tmp_path / "m.env")]) == 0
+    assert load.call_count == 2
+    capsys.readouterr()
+
+
 def test_sign_reports_overhead(tmp_path, msgfile, capsys):
     prefix = _keygen(tmp_path, K=2)
     main(["sign", "--sk", f"{prefix}.sk", "--in", str(msgfile),

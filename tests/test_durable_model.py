@@ -42,10 +42,10 @@ class DurableSigning(RuleBasedStateMachine):
         self.path = os.path.join(self.dir, "signer.sk")
         record, self.pk = self.signer.keygen(BIG_TOY_GROUP, K, Y)
         keystore.save_state(self.path, record)
-        self.handle = self.signer.open(self.path)
+        self.handle = keystore.open_signer(self.path)
         # a second handle from the start, and each one a reopen replaces:
         # stale once the file moves on
-        self.old_handles = [self.signer.open(self.path)]
+        self.old_handles = [keystore.open_signer(self.path)]
         self.releases = []
 
     def teardown(self):
@@ -88,7 +88,7 @@ class DurableSigning(RuleBasedStateMachine):
     @rule()
     def reopen(self):
         self.old_handles.append(self.handle)
-        self.handle = self.signer.open(self.path)
+        self.handle = keystore.open_signer(self.path)
 
     @rule(pick=st.integers(min_value=0), message=MESSAGES)
     def sign_on_old_handle(self, pick, message):

@@ -95,7 +95,7 @@ def test_state_advances_and_drops_the_old_chain_value(tmp_path):
     state, _ = eta_keygen_from_secrets(TOY_GROUP, 3, y=3, r0=4)
     path = tmp_path / "eta.sk"
     keystore.save_state(path, keystore.record_from_eta_state(state))
-    state = keystore.open_eta_signer(path)
+    state = keystore.open_signer(path)
     eta_sign(state, b"m", FixedSource(x=FORCED_X))
     assert state.j == 1
     assert state.r_cur == 8  # H0(encode(4)), from the golden chain

@@ -196,14 +196,19 @@ def test_composite_toy_group_order_is_corrupt():
         parse_record(_with_group(record, 23, 22, 2))  # 22 | 22 and 2^22 = 1 mod 23
 
 
-def test_large_group_order_other_than_production_is_corrupt():
+def test_large_group_order_other_than_production_is_corrupt(tmp_path):
     # q = p - 1 passes GroupParams, which tests only a toy q for primality
     P = PRODUCTION_GROUP
     params = GroupParams(p=P.p, q=P.p - 1, alpha=4)
-    kp = SchnorrKeyPair.from_private(P, 9)
-    record = keystore.record_from_schnorr_key(kp)._replace(params=params)
+    record = keystore.record_from_schnorr_key(SchnorrKeyPair.from_private(P, 9))
     with pytest.raises(CorruptState, match="production group"):
-        parse_record(serialize_record(record))
+        parse_record(_with_group(record, *params))
+    # and nothing writes a record that could not be read back
+    with pytest.raises(ValueError, match="production group"):
+        serialize_record(record._replace(params=params))
+    with pytest.raises(ValueError, match="production group"):
+        save_state(tmp_path / "mid.sk", record._replace(params=params))
+    assert os.listdir(tmp_path) == []
 
 
 _SECRET_LOADERS = {
@@ -426,7 +431,7 @@ def test_signer_hook_fails_closed_on_each_advance_fault(tmp_path, signer, call):
         with mock.patch.object(target, name, side_effect=fails_on_call(real, n)):
             return advance(*args, **kwargs)
 
-    handle = signer.open(path)
+    handle = keystore.open_signer(path)
     before = handle._value()
     with mock.patch.object(keystore, "advance_counter", faulty_advance):
         with pytest.raises(StatePersistFailure, match="No space left on device") as info:
@@ -446,7 +451,7 @@ def test_signer_hook_fails_closed_on_each_advance_fault(tmp_path, signer, call):
     else:
         released.append(signer.sign(handle, b"retried"))
         assert released[-1].j == 0
-    released.append(signer.sign(signer.open(path), b"fresh handle"))
+    released.append(signer.sign(keystore.open_signer(path), b"fresh handle"))
     assert released[-1].j == 1
     assert all(signer.verify(pk, release) for release in released)
 
@@ -465,12 +470,12 @@ def test_open_signer_writes_through(tmp_path, big_toy, signer):
     record, pk = signer.keygen(big_toy, 4, 77)
     path = tmp_path / "signer.sk"
     save_state(path, record)
-    handle = signer.open(path)
+    handle = keystore.open_signer(path)
     release = signer.sign(handle, b"write through")
     assert release.j == 0 and signer.verify(pk, release)
     assert load_state(path).j == 1
     # the file holds the whole advanced state; a second handle continues from it
-    handle2 = signer.open(path)
+    handle2 = keystore.open_signer(path)
     assert handle2 == handle
     assert signer.sign(handle2, b"next").j == 1
 
@@ -480,9 +485,9 @@ def test_restarted_eta_signer_never_reuses_an_index(tmp_path, big_toy):
     record, pk = signer.keygen(big_toy, 4, 77)
     path = tmp_path / "eta.sk"
     save_state(path, record)
-    first = signer.sign(keystore.open_eta_signer(path), b"before the restart")
+    first = signer.sign(keystore.open_signer(path), b"before the restart")
     assert load_state(path).j == 1
-    second = signer.sign(keystore.open_eta_signer(path), b"after the restart")
+    second = signer.sign(keystore.open_signer(path), b"after the restart")
     assert (first.j, second.j) == (0, 1)
     assert load_state(path).j == 2
     assert signer.verify(pk, first) and signer.verify(pk, second)
@@ -496,7 +501,7 @@ def test_crash_between_advance_and_release_burns_the_index(tmp_path, big_toy, si
     class Crash(Exception):
         pass
 
-    handle = signer.open(path)
+    handle = keystore.open_signer(path)
     durable = handle.persist
 
     def crashing_persist(*args):
@@ -509,7 +514,7 @@ def test_crash_between_advance_and_release_burns_the_index(tmp_path, big_toy, si
     assert isinstance(info.value.__cause__, Crash)
     assert load_state(path).j == 1  # index 0 burned
 
-    assert signer.sign(signer.open(path), b"released after recovery").j == 1
+    assert signer.sign(keystore.open_signer(path), b"released after recovery").j == 1
 
 
 _RACE_SIGNS = 100
@@ -521,7 +526,7 @@ def _race_signer(signer, path, tag, barrier, results):
     released, lost = [], 0
     for i in range(_RACE_SIGNS):
         try:
-            release = signer.sign(signer.open(path), b"%s message %d" % (tag, i))
+            release = signer.sign(keystore.open_signer(path), b"%s message %d" % (tag, i))
         except StatePersistFailure:
             lost += 1  # the other process won this index
             continue
@@ -571,11 +576,11 @@ def test_threads_sharing_one_signer_handle_release_each_index_once(tmp_path, sig
     record, pk = signer.keygen(BIG_TOY_GROUP, 40, 41)
     path = tmp_path / "signer.sk"
     save_state(path, record)
-    handle = signer.open(path)
+    handle = keystore.open_signer(path)
     releases = run_in_threads(lambda: signer.sign(handle, b"one shared handle"), calls=10)
     assert len({release.j for release in releases}) == len(releases) == 40
     assert load_state(path).j == 40
-    assert signer.open(path) == handle
+    assert keystore.open_signer(path) == handle
     assert all(signer.verify(pk, release) for release in releases)
 
 
