@@ -9,6 +9,7 @@ One record format covers secret keys, signer states and public keys:
     integrity_tag = BLAKE2s-256 over everything preceding it     (32 octets)
 
 All integers big-endian; files are position-independent single-record blobs.
+A record is hashed and read in place, so its payload is the one copy made.
 Writes are atomic (temp file, fsync, rename), and the signing counter is
 advanced on disk BEFORE a signature is released: a crash in between loses one
 index, never reuses one -- index reuse surrenders the private key.  The
@@ -24,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
-import io
 import os
 import tempfile
 from typing import NamedTuple, Optional
@@ -96,7 +96,7 @@ def serialize_record(record: SignerStateRecord) -> bytes:
         raise ValueError("unknown scheme or role tag")
     if not 0 <= record.j <= record.K:
         raise ValueError("counter j must lie in [0, K]")
-    body = (
+    header = (
         MAGIC
         + bytes([VERSION, record.scheme_tag, group_id_for(record.params), record.role])
         + _len16(record.params.p)
@@ -105,24 +105,25 @@ def serialize_record(record: SignerStateRecord) -> bytes:
         + record.j.to_bytes(8, "big")
         + record.K.to_bytes(8, "big")
         + len(record.payload).to_bytes(4, "big")
-        + record.payload
     )
-    return body + hashlib.blake2s(body).digest()
+    tag = hashlib.blake2s(header)
+    tag.update(record.payload)
+    return b"".join((header, record.payload, tag.digest()))
 
 
 def parse_record(data: bytes) -> SignerStateRecord:
     if len(data) < _TAG_LEN:
         raise CorruptState("record truncated")
-    body, tag = data[:-_TAG_LEN], data[-_TAG_LEN:]
-    if hashlib.blake2s(body).digest() != tag:
+    end, at = len(data) - _TAG_LEN, 0
+    if hashlib.blake2s(memoryview(data)[:end]).digest() != data[end:]:
         raise CorruptState("integrity tag mismatch")
-    stream = io.BytesIO(body)
 
     def take(n: int) -> bytes:
-        out = stream.read(n)
-        if len(out) < n:
+        nonlocal at
+        at += n
+        if at > end:
             raise CorruptState("record truncated")
-        return out
+        return data[at - n : at]
 
     if take(4) != MAGIC:
         raise CorruptState("bad magic")
@@ -152,8 +153,8 @@ def parse_record(data: bytes) -> SignerStateRecord:
         raise CorruptState(f"invalid group parameters: {exc}") from exc
     j = int.from_bytes(take(8), "big")
     K = int.from_bytes(take(8), "big")
-    payload = take(int.from_bytes(take(4), "big"))
-    if stream.read():
+    payload = bytes(take(int.from_bytes(take(4), "big")))
+    if at != end:
         raise CorruptState("trailing bytes after payload")
     if j > K:
         raise CorruptState(f"counter j={j} exceeds capacity K={K}")
@@ -374,9 +375,7 @@ def semecs_state_from_record(record: SignerStateRecord) -> semecs_mod.SemecsSign
 
 
 def record_from_semecs_public(pk: semecs_mod.SemecsPublicKey) -> SignerStateRecord:
-    tokens = b"".join(g + b for g, b in zip(pk.gammas, pk.betas))
-    payload = encode_element(pk.params, pk.Y) + tokens
-    return _record(SCHEME_SEMECS, ROLE_PUBLIC, pk.params, payload, K=pk.K)
+    return _record(SCHEME_SEMECS, ROLE_PUBLIC, pk.params, pk.payload, K=pk.K)
 
 
 def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPublicKey:
@@ -387,12 +386,7 @@ def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPub
     params = record.params
     L, elen, K = params.scalar_len, params.element_len, record.K
     payload = _payload(record, SCHEME_SEMECS, ROLE_PUBLIC, elen + 2 * K * L)
-    return semecs_mod.SemecsPublicKey(
-        params,
-        _element(params, payload[:elen]),
-        semecs_mod.Tokens(payload, elen, 2 * L, L, K),
-        semecs_mod.Tokens(payload, elen + L, 2 * L, L, K),
-    )
+    return semecs_mod.SemecsPublicKey.viewing(params, _element(params, payload[:elen]), payload, K)
 
 
 def keygen_records(scheme: str, params: GroupParams, K: Optional[int] = None):

@@ -45,6 +45,7 @@ import functools
 import hmac
 import os
 import threading
+from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from typing import Callable, NamedTuple, Optional
@@ -214,7 +215,7 @@ class SearchIndex(NamedTuple):
     """The key's own beta tokens plus the permutation that sorts them ascending."""
 
     betas: Sequence[bytes]
-    order: tuple[int, ...]  # betas[order[k]] is the k-th smallest beta
+    order: array  # of "I"; betas[order[k]] is the k-th smallest beta
 
     def lookup(self, beta: bytes) -> tuple[Optional[int], int]:
         """Binary-search a candidate beta.
@@ -248,15 +249,30 @@ def build_search_index(betas: Sequence[bytes]) -> SearchIndex:
     tokens = list(betas)  # slice each view token once, not once per use
     if len(set(tokens)) != len(tokens):
         raise DuplicateBeta("public key has colliding tokens; regenerate the key")
-    return SearchIndex(betas, tuple(sorted(range(len(tokens)), key=tokens.__getitem__)))
+    return SearchIndex(betas, array("I", sorted(range(len(tokens)), key=tokens.__getitem__)))
 
 
 class SemecsPublicKey(namedtuple("SemecsPublicKey", "params Y gammas betas")):
-    # no ``__slots__ = ()``: cached_property keeps search_index in the instance dict
+    # no ``__slots__ = ()``: cached_property keeps payload and search_index in the instance dict
+
+    @classmethod
+    def viewing(cls, params: GroupParams, big_y: int, payload: bytes, K: int) -> "SemecsPublicKey":
+        """The K-index key whose tokens view ``payload``, laid out as :attr:`payload` is."""
+        L, start = params.scalar_len, params.element_len
+        pk = cls(params, big_y, Tokens(payload, start, 2 * L, L, K),
+                 Tokens(payload, start + L, 2 * L, L, K))
+        pk.payload = payload  # fills the cache below
+        return pk
 
     @property
     def K(self) -> int:
         return len(self.betas)
+
+    @functools.cached_property
+    def payload(self) -> bytes:
+        """Y's encoding, then gamma_j || beta_j for every j: the public record's payload."""
+        tokens = b"".join(g + b for g, b in zip(self.gammas, self.betas))
+        return encode_element(self.params, self.Y) + tokens
 
     @functools.cached_property
     def search_index(self) -> SearchIndex:

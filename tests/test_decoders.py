@@ -2,7 +2,9 @@
 
 import hashlib
 import io
+import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from semecs import eta, keystore, schnorr
@@ -12,7 +14,9 @@ from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP
 from semecs.semecs import SignedEnvelope, semecs_keygen_from_secret
 
 GROUPS = st.sampled_from([TOY_GROUP, BIG_TOY_GROUP, PRODUCTION_GROUP])
-PROPERTY = settings(max_examples=200, deadline=None)
+# SEMECS_DECODER_EXAMPLES sets the example count; CI runs this file once more at 2000
+EXAMPLES = int(os.environ.get("SEMECS_DECODER_EXAMPLES", "200"))
+PROPERTY = settings(max_examples=EXAMPLES, deadline=None)
 
 
 def _sample_records():
@@ -30,6 +34,14 @@ def _sample_records():
 
 
 BODIES = [keystore.serialize_record(r)[:-32] for r in _sample_records()]
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_parse_record_reads_any_octet_buffer_into_a_bytes_payload(wrap):
+    for record in _sample_records():
+        parsed = keystore.parse_record(wrap(keystore.serialize_record(record)))
+        assert type(parsed.payload) is bytes
+        assert parsed == record
 
 
 def _parses_or_corrupt(data: bytes) -> None:

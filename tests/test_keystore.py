@@ -28,6 +28,7 @@ from semecs.keystore import (
 )
 from semecs.schnorr import SchnorrKeyPair, schnorr_keygen
 from semecs.semecs import (
+    SemecsPublicKey,
     build_search_index,
     extract_private_key,
     semecs_keygen,
@@ -36,6 +37,7 @@ from semecs.semecs import (
 
 from conftest import run_in_threads
 from faults import ADVANCE_FAULTS, fails_on_call, short_write
+from oracles import element_octets, semecs_keygen_transcript
 from signers import SIGNERS
 
 
@@ -339,6 +341,38 @@ def test_loaded_semecs_public_key_views_its_payload():
     assert kept < 4096, f"loading the key kept {kept} octets"
 
 
+def _oracle_payload(params, y, K, order=None):
+    """Y's encoding, then gamma_j || beta_{order[j]} for every j, from the oracle."""
+    t = semecs_keygen_transcript(params, y, K)
+    rows, order = t["rows"], order or range(K)
+    return element_octets(params, t["Y"]) + b"".join(
+        row["gamma"] + rows[k]["beta"] for row, k in zip(rows, order)
+    )
+
+
+def test_loaded_semecs_public_key_writes_the_buffer_it_views(tmp_path):
+    _, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, 5, y=5)
+    save_state(tmp_path / "k.pk", keystore.record_from_semecs_public(pk))
+    loaded = keystore.semecs_public_from_record(load_state(tmp_path / "k.pk"))
+    record = keystore.record_from_semecs_public(loaded)
+    assert record.payload is loaded.gammas.buffer is loaded.betas.buffer
+    expected = _oracle_payload(BIG_TOY_GROUP, 5, 5)
+    assert record.payload == expected
+    assert serialize_record(record) == serialize_record(record._replace(payload=expected))
+
+
+def test_fresh_built_and_replaced_semecs_keys_write_the_oracle_octets():
+    _, pk = semecs_keygen_from_secret(BIG_TOY_GROUP, 5, y=5)
+    hand = SemecsPublicKey(pk.params, pk.Y, tuple(pk.gammas), tuple(pk.betas))
+    reordered = pk._replace(betas=tuple(pk.betas)[::-1])
+    keys = ((pk, None), (hand, None), (pk._replace(), None), (reordered, range(4, -1, -1)))
+    for key, order in keys:
+        assert "payload" not in vars(key)  # joined from its tokens on first use
+        record = keystore.record_from_semecs_public(key)
+        assert record.payload == _oracle_payload(BIG_TOY_GROUP, 5, 5, order)
+        assert keystore.record_from_semecs_public(key).payload is record.payload
+
+
 def test_semecs_public_file_size_formula(tmp_path):
     # file = fixed header + (2K+1) * scalar_len on the production group
     sizes = {}
@@ -588,7 +622,7 @@ def test_threads_sharing_one_signer_handle_release_each_index_once(tmp_path, sig
 
 def test_build_search_index_orders_and_rejects_duplicates():
     index = build_search_index([b"\x03", b"\x01", b"\x02"])
-    assert index.order == (1, 2, 0)
+    assert tuple(index.order) == (1, 2, 0)
     with pytest.raises(DuplicateBeta):
         build_search_index([b"\x01", b"\x01"])
 
