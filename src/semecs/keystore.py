@@ -349,7 +349,10 @@ def eta_state_from_record(record: SignerStateRecord) -> eta_mod.EtaSigningState:
 
 
 def record_from_eta_public(pk: eta_mod.EtaPublicKey) -> SignerStateRecord:
-    payload = encode_element(pk.params, pk.Y) + b"".join(pk.tokens)
+    tokens = pk.tokens
+    if isinstance(tokens, semecs_mod.Tokens) and tokens.stride == tokens.width:  # one run
+        tokens = [tokens.buffer[tokens.start : tokens.start + len(tokens) * tokens.width]]
+    payload = encode_element(pk.params, pk.Y) + b"".join(tokens)
     return _record(SCHEME_ETA, ROLE_PUBLIC, pk.params, payload, K=pk.K)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semecs import group
+from semecs import group, keystore
 from semecs.errors import MalformedEncoding, RngFailure
 from semecs.group import (
     BIG_TOY_GROUP,
@@ -274,6 +274,60 @@ def test_alpha_table_cache_stays_bounded(table_phase):
     assert group._alpha_table.cache_info().currsize <= maxsize
     # the evicted constant rebuilds to the same table
     assert exp(PRODUCTION_GROUP, 1 << 200) == pow(4, 1 << 200, PRODUCTION_GROUP.p)
+
+
+# --- split-exponent table for Y ----------------------------------------------
+
+def _split_edges(params):
+    """e at the ends of both halves of double_exp's split and of [0, q)."""
+    h = 1 << -(-params.q.bit_length() // 2)
+    return [0, 1, h - 1, h, params.q - 1]
+
+
+@pytest.mark.parametrize("params", _COMB_GROUPS, ids=_COMB_IDS)
+def test_y_half_matches_pow_at_the_split_edges(params):
+    rnd = random.Random(0x5917)
+    ys = [1, 2, params.alpha, params.p - 1] + [rnd.randrange(1, params.p) for _ in range(20)]
+    assert any(pow(y, params.q, params.p) != 1 for y in ys)  # not all in the subgroup
+    for y in ys:
+        for e in _split_edges(params) + [rnd.randrange(params.q) for _ in range(20)]:
+            assert double_exp(params, y, e, 0) == pow(y, e, params.p), (y, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_double_exp_matches_pow_for_any_y_property(data):
+    params = data.draw(st.sampled_from(_COMB_GROUPS))
+    big_y = data.draw(st.integers(min_value=1, max_value=params.p - 1))
+    e = data.draw(st.sampled_from(_split_edges(params)) | st.integers(0, params.q - 1))
+    s = data.draw(st.integers(min_value=0, max_value=params.q - 1))
+    expected = pow(big_y, e, params.p) * pow(params.alpha, s, params.p) % params.p
+    assert double_exp(params, big_y, e, s) == expected
+
+
+def test_y_table_is_built_once_per_key_by_value():
+    g = BIG_TOY_GROUP
+    big_y = pow(g.alpha, 0x5EED17, g.p)
+    parsed = keystore.parse_record(
+        keystore.serialize_record(keystore.record_from_schnorr_public(g, big_y)))
+    parsed_y = keystore.schnorr_public_from_record(parsed)
+    assert parsed.params is not g and (parsed.params, parsed_y) == (g, big_y)
+    before = group._y_table.cache_info().misses
+    assert double_exp(g, big_y, 3, 4) == pow(big_y, 3, g.p) * pow(g.alpha, 4, g.p) % g.p
+    for e in (5, g.q - 1):
+        assert double_exp(parsed.params, parsed_y, e, 0) == pow(big_y, e, g.p)
+    assert group._y_table.cache_info().misses == before + 1
+    assert group._y_table(parsed.params, parsed_y) is group._y_table(g, big_y)
+
+
+def test_y_table_cache_stays_bounded():
+    g, maxsize = PRODUCTION_GROUP, group._y_table.cache_info().maxsize
+    ys = [pow(3, k, g.p) for k in range(1, maxsize + 9)]  # distinct, some outside the subgroup
+    for big_y in ys:
+        assert double_exp(g, big_y, g.q - 1, 0) == pow(big_y, g.q - 1, g.p)
+    assert group._y_table.cache_info().currsize <= maxsize
+    # an evicted key rebuilds to the same table
+    assert double_exp(g, ys[0], 12345, 0) == pow(ys[0], 12345, g.p)
 
 
 # --- dlog oracle ------------------------------------------------------------

@@ -33,11 +33,12 @@ from semecs.semecs import (
     extract_private_key,
     semecs_keygen,
     semecs_keygen_from_secret,
+    Tokens,
 )
 
 from conftest import run_in_threads
 from faults import ADVANCE_FAULTS, fails_on_call, short_write
-from oracles import element_octets, semecs_keygen_transcript
+from oracles import element_octets, eta_keygen_transcript, semecs_keygen_transcript
 from signers import SIGNERS
 
 
@@ -371,6 +372,22 @@ def test_fresh_built_and_replaced_semecs_keys_write_the_oracle_octets():
         record = keystore.record_from_semecs_public(key)
         assert record.payload == _oracle_payload(BIG_TOY_GROUP, 5, 5, order)
         assert keystore.record_from_semecs_public(key).payload is record.payload
+
+
+def test_fresh_loaded_and_hand_built_eta_keys_write_the_oracle_octets(tmp_path):
+    g, L = BIG_TOY_GROUP, BIG_TOY_GROUP.scalar_len
+    t = eta_keygen_transcript(g, 5, 7, 6)
+    expected = element_octets(g, t["Y"]) + b"".join(t["tokens"])
+    _, pk = eta_keygen_from_secrets(g, 6, y=5, r0=7)
+    save_state(tmp_path / "k.pk", keystore.record_from_eta_public(pk))
+    loaded = keystore.eta_public_from_record(load_state(tmp_path / "k.pk"))
+    spaced = b"".join(token + b"\xff" * L for token in t["tokens"])  # a view with gaps
+    with mock.patch.object(Tokens, "__iter__", side_effect=AssertionError("token by token")):
+        records = [keystore.record_from_eta_public(key) for key in (pk, loaded)]  # one slice
+    for tokens in (tuple(t["tokens"]), Tokens(spaced, 0, 2 * L, L, 6)):
+        records.append(keystore.record_from_eta_public(pk._replace(tokens=tokens)))
+    assert [record.payload for record in records] == [expected] * 4
+    assert len({serialize_record(record) for record in records}) == 1
 
 
 def test_semecs_public_file_size_formula(tmp_path):
