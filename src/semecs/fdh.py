@@ -48,6 +48,13 @@ class Fdh:
         value = (int.from_bytes((stream + h.digest())[:nbytes], "big") >> shift) % self.q
         return value or self.eval(bytes(message) + b"\xff")  # zero residue: re-derive
 
+    def prefixed(self, prefix: bytes) -> "Fdh":
+        """This hash with ``prefix`` absorbed once: its ``eval(m)`` is ``eval(prefix + m)``."""
+        clone, (base, *rest) = Fdh.__new__(Fdh), self._expansion
+        vars(clone).update(vars(self), _expansion=(base.copy(), *rest))
+        clone._expansion[0].update(prefix)
+        return clone
+
     def eval_encoded(self, message: bytes) -> bytes:
         """Like :meth:`eval` but returns the canonical scalar_len encoding."""
         return self.eval(message).to_bytes(self.scalar_len, "big")

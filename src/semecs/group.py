@@ -12,23 +12,22 @@ order-q subgroup of Z_p*.  Two interchangeable backends are provided:
   its security is far below 128 bits: NIST SP 800-57 Part 1 Rev. 5, Table 2,
   asks for a 3072-bit p at that level.
 
-Powers of the fixed generator alpha (key-generation commitments, Schnorr
-nonces, and the alpha^s half of the verifier's double exponentiation) are
-read from a fixed-base table built once per group
+Powers of the fixed generator alpha (key-generation commitments and Schnorr
+nonces) are read from a fixed-base table built once per group
 (Brickell-Gordon-McCurley-Wilson windowing, HAC 14.6.3): row i holds
 alpha^(d * 2^(8i)) for every octet d, so alpha^k is one multiply per octet
 of k.  A process builds it after its first ``_POW_PHASE`` powers (builtin
 ``pow``), or once :func:`expect_alpha_powers` announces enough of them, so a
-one-shot sign or verify never builds it.  The schemes need no single power
-of any other base; the Y^e half of the double exponentiation Y^e * alpha^s
-reads a 16-entry per-key table (Lim-Lee exponent splitting walked as Shamir's
-simultaneous exponentiation, HAC 14.88) with half the squarings of ``pow``.
+one-shot sign never builds it.  The verifier's Y^e * alpha^s never reads it:
+it walks the halves of both exponents at once through one 256-entry table per
+key (Lim-Lee exponent splitting walked as Straus/Shamir simultaneous
+exponentiation, HAC 14.88).
 
 Scalar arithmetic on the production path avoids value-dependent branching at
-the Python level, and every table power of alpha does the same number of
-multiplies whatever the exponent.  The table is still indexed by secret
-digits, which is no worse than the sliding window inside CPython's ``pow``
-but no better either; CPython big integers are not constant-time, so this is
+the Python level, and every table power does the same number of multiplies
+whatever the exponent.  The alpha table is still indexed by secret digits,
+which is no worse than the sliding window inside CPython's ``pow`` but no
+better either; CPython big integers are not constant-time, so this is
 hygiene, not a hardened side-channel guarantee.
 """
 
@@ -53,6 +52,9 @@ _COMB_BITS = 8
 #: Powers of alpha computed by ``pow`` before the table is built, about as
 #: many as its build costs (BENCH_22.json); a race on the count is harmless.
 _POW_PHASE = _pow_countdown = 64
+
+#: An octet's four 2-bit digits, one per octet of the value, the highest first.
+_DIGITS = tuple(sum((x >> 2 * k & 3) << 8 * k for k in range(4)) for x in range(256))
 
 
 class GroupParams(namedtuple("GroupParams", "p q alpha")):
@@ -170,39 +172,59 @@ def _bump(field: str, n: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 def exp(params: GroupParams, k: int) -> int:
-    """Single exponentiation alpha^k mod p (see :func:`_alpha_pow`)."""
+    """alpha^k mod p: builtin ``pow`` for a process's first powers, then the table.
+
+    The table path reduces k mod q (alpha has order q) and does one multiply
+    per row whatever the digits, so every exponent agrees with ``pow``.
+    """
+    global _pow_countdown
     _bump("exp_count")
-    return _alpha_pow(params, k)
+    if _pow_countdown > 0:
+        _pow_countdown -= 1
+        return pow(params.alpha, k, params.p)
+    p = params.p
+    rows = _alpha_table(params)
+    acc = 1
+    for row, digit in zip(rows, (k % params.q).to_bytes(len(rows), "little")):
+        acc = acc * row[digit] % p
+    return acc
 
 
 def double_exp(params: GroupParams, big_y: int, e: int, s: int) -> int:
     """Double exponentiation Y^e * alpha^s mod p, the verifier's one group operation.
 
-    Y^e walks e = e_lo + 2^H * e_hi, H = ceil(bitlen(q) / 2), two bits of each
-    half per step through :func:`_y_table`: H squarings, half of ``pow``'s.
-    e is not reduced mod q, so Y may lie outside the subgroup; e < 2^(2H).
+    With H = ceil(bitlen(q) / 2), e = e_lo + 2^H * e_hi and s mod q =
+    s_lo + 2^H * s_hi are walked together through :func:`_y_table`, two bits
+    of each half per step of two squarings and one multiply (64 steps when
+    H = 128).  e is not reduced mod q, so Y may lie outside the subgroup;
+    e < 2^(2H).
+
+    >>> double_exp(TOY_GROUP, 8, 2, 9)  # 8^2 * 2^9 = 18 * 6 mod 23
+    16
     """
     _bump("double_exp_count")
     p, half = params.p, -(-params.q.bit_length() // 2)
-    table, n = _y_table(params, big_y), -(-half // 8)
-    halves = (e & ((1 << half) - 1)).to_bytes(n, "big"), (e >> half).to_bytes(n, "big")
-    acc = 1
-    for lo, hi in zip(*halves):
-        for shift in (6, 4, 2, 0):
-            acc = acc * acc % p
-            acc = acc * acc % p
-            acc = acc * table[(lo >> shift & 3) | (hi >> shift & 3) << 2] % p
-    return acc * _alpha_pow(params, s) % p
+    table, mask, s, acc = _y_table(params, big_y), (1 << half) - 1, s % params.q, 1
+    halves = (x.to_bytes(-(-half // 8), "big") for x in (e & mask, e >> half, s & mask, s >> half))
+    for a, b, c, d in zip(*halves):  # one octet of each half: four steps
+        digits = _DIGITS[a] | _DIGITS[b] << 2 | _DIGITS[c] << 4 | _DIGITS[d] << 6
+        for index in digits.to_bytes(4, "big"):
+            acc = pow(acc, 4, p) * table[index] % p
+    return acc
 
 
 @functools.lru_cache(maxsize=64)
 def _y_table(params: GroupParams, big_y: int) -> tuple[int, ...]:
-    """Y^a * (Y^(2^H))^b mod p at index a + 4b (a, b < 4), cached per key by value."""
-    p, z = params.p, pow(big_y, 1 << -(-params.q.bit_length() // 2), params.p)
-    table = [1]
-    for i in range(1, 16):
-        table.append((table[i - 1] * big_y if i % 4 else table[i - 4] * z) % p)
-    return tuple(table)
+    """Y^a * Z^b * alpha^c * A^d mod p at index a + 4b + 16c + 64d (each < 4).
+
+    Z = Y^(2^H), A = alpha^(2^H); 256 integers (17 KB), cached per key by value.
+    """
+    p, h, rows = params.p, 1 << -(-params.q.bit_length() // 2), ([1], [1])
+    for row, base in zip(rows, (big_y, params.alpha)):  # index a + 4b: base^a * (base^(2^H))^b
+        z = pow(base, h, p)
+        for i in range(1, 16):
+            row.append((row[i - 1] * base if i % 4 else row[i - 4] * z) % p)
+    return tuple(y * a % p for a in rows[1] for y in rows[0])
 
 
 def expect_alpha_powers(params: GroupParams, n: int) -> None:
@@ -231,24 +253,6 @@ def _alpha_table(params: GroupParams) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(row))
         base = row[-1] * base % p
     return tuple(rows)
-
-
-def _alpha_pow(params: GroupParams, k: int) -> int:
-    """alpha^k mod p: builtin ``pow`` for a process's first powers, then the table.
-
-    The table path reduces k mod q (alpha has order q) and does one multiply
-    per row whatever the digits, so every exponent agrees with ``pow``.
-    """
-    global _pow_countdown
-    if _pow_countdown > 0:
-        _pow_countdown -= 1
-        return pow(params.alpha, k, params.p)
-    p = params.p
-    rows = _alpha_table(params)
-    acc = 1
-    for row, digit in zip(rows, (k % params.q).to_bytes(len(rows), "little")):
-        acc = acc * row[digit] % p
-    return acc
 
 
 def group_mul(params: GroupParams, a: int, b: int) -> int:

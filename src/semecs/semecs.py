@@ -3,7 +3,9 @@
 The headline scheme.  Signing performs no group operation at all: the
 ephemeral scalar r_j = H0(y || j) and the message mask z_j = H1(y || j) are
 derived deterministically from the 32-octet private key, so a signature costs
-a few hashes, one modular multiplication and one subtraction.  The public key
+a few hashes, one modular multiplication and one subtraction.  H0 and H1
+absorb y's encoding once per signer state and keygen, so each index j hashes
+only j's 8 octets, unambiguous far beyond any practical K.  The public key
 stores, per index j, the token pair
 
     gamma_j = z_j XOR H0(R_j)        (releases the mask after verification)
@@ -58,7 +60,7 @@ from .errors import (
     NotExtractable,
     StatePersistFailure,
 )
-from .fdh import fdh_pair
+from .fdh import Fdh, fdh_pair
 from .group import (
     GroupParams,
     _bump,
@@ -165,12 +167,12 @@ class _SigningState:
     Threads may share one state: sign() holds ``lock`` from the capacity
     check to the counter update.  Separate processes are serialized by the
     keystore's directory ``flock``, and a stale handle fails with StaleState.
-    Equal by every field but ``lock`` and ``persist``, never hashable, and
-    its repr shows no secret.
+    Equal by every field but ``lock``, ``persist`` and derived hashes, never
+    hashable, and its repr shows no secret.
     """
 
     def _value(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k not in ("lock", "persist")}
+        return {k: v for k, v in vars(self).items() if k not in ("lock", "persist", "_seeded")}
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -208,7 +210,7 @@ class SemecsSigningState(_SigningState):
     def __init__(self, params: GroupParams, y: int, j: int, K: int,
                  persist: Optional[Callable[[int], None]] = None) -> None:
         self.params, self.y, self.j, self.K, self.persist = params, y, j, K, persist
-        self.lock = threading.Lock()
+        self.lock, self._seeded = threading.Lock(), _seeded_pair(params, y)
 
 
 class SearchIndex(NamedTuple):
@@ -320,22 +322,21 @@ class SignedEnvelope(NamedTuple):
 # Key generation
 # ---------------------------------------------------------------------------
 
-def _derivation_input(y_octets: bytes, j: int) -> bytes:
-    # H_i(y || j): canonical y encoding followed by 8 octets of j, so the
-    # layout stays unambiguous far beyond any practical K
-    return y_octets + j.to_bytes(8, "big")
+def _seeded_pair(params: GroupParams, y: int) -> tuple[Fdh, Fdh]:
+    """H0 and H1 with y's canonical encoding absorbed, so H_i(y || j) hashes only j."""
+    y_octets = encode_scalar(params, y)
+    return tuple(h.prefixed(y_octets) for h in fdh_pair(params.q))
 
 
 def _token_range(params: GroupParams, y: int, lo: int, hi: int) -> bytes:
     """gamma_j || beta_j for every j in [lo, hi), concatenated."""
-    h0, h1 = fdh_pair(params.q)
+    (h0, h1), (h0_y, h1_y) = fdh_pair(params.q), _seeded_pair(params, y)
     L, element_len = params.scalar_len, params.element_len
-    y_octets = encode_scalar(params, y)
     tokens = []
     for j in range(lo, hi):
-        seed = _derivation_input(y_octets, j)
-        token_preimage = exp(params, h0.eval(seed)).to_bytes(element_len, "big")
-        tokens.append((h1.eval(seed) ^ h0.eval(token_preimage)).to_bytes(L, "big"))
+        seed = j.to_bytes(8, "big")
+        token_preimage = exp(params, h0_y.eval(seed)).to_bytes(element_len, "big")
+        tokens.append((h1_y.eval(seed) ^ h0.eval(token_preimage)).to_bytes(L, "big"))
         tokens.append(h1.eval_encoded(token_preimage))
     return b"".join(tokens)
 
@@ -449,13 +450,12 @@ def semecs_sign(state: SemecsSigningState, message: bytes) -> SignedEnvelope:
     with state.lock:
         j = state._unspent_index()
         params, L = state.params, state.params.scalar_len
-        h0, h1 = fdh_pair(params.q)
+        (h0_y, h1_y), seed = state._seeded, j.to_bytes(8, "big")
         m_bar, m_tilde, padded = split_message(message, L)
-        seed = _derivation_input(encode_scalar(params, state.y), j)
-        r_j = h0.eval(seed)
-        z_j = h1.eval(seed)
+        r_j = h0_y.eval(seed)
+        z_j = h1_y.eval(seed)
         c = (int.from_bytes(m_bar, "big") ^ z_j).to_bytes(L, "big")
-        e = h0.eval(c + m_tilde)
+        e = fdh_pair(params.q)[0].eval(c + m_tilde)
         s = scalar_sub_mul(params.q, r_j, e, state.y)
         state._persist_then_advance(j)
     return SignedEnvelope(j=j, padded=padded, s=s, c=c, m_tilde=m_tilde)

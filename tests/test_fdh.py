@@ -69,6 +69,22 @@ def test_matches_oracle_across_expansion_lengths(q, rng):
         assert h1.eval(msg) == oracle_fdh(q, 1, msg)
 
 
+@pytest.mark.parametrize("q", [2, 11, PRODUCTION_GROUP.q], ids=["2", "11", "prod"])
+def test_prefixed_hash_evaluates_the_prefix_then_the_message(q, rng):
+    # q = 2 and q = 11 hit the zero-residue re-derivation often; it must
+    # extend the prefixed message, not the message alone
+    for h in (Fdh(q, 0), Fdh(q, 1)):
+        for _ in range(200):
+            prefix, msg = (rng.randbytes(rng.randrange(0, 40)) for _ in range(2))
+            seeded = h.prefixed(prefix)
+            expected = oracle_fdh(q, h.hash_id, prefix + msg)
+            assert seeded.eval(msg) == h.eval(prefix + msg) == expected
+            assert seeded.eval(memoryview(msg)) == expected
+            assert h.prefixed(memoryview(prefix)).eval(msg) == expected
+            assert seeded.eval_encoded(msg) == h.eval_encoded(prefix + msg)
+            assert h.eval(msg) == oracle_fdh(q, h.hash_id, msg)  # h itself absorbed nothing
+
+
 @pytest.mark.parametrize("params", [TOY_GROUP, PRODUCTION_GROUP], ids=["toy", "prod"])
 def test_output_always_in_z_q_star(params):
     # deterministic corpus; 10^5 inputs per backend

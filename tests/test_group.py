@@ -27,6 +27,7 @@ from semecs.group import (
     random_scalar,
     scalar_sub_mul,
 )
+from semecs.semecs import semecs_keygen_from_secret, semecs_sign
 
 from oracles import brute_force_dlog
 
@@ -205,10 +206,11 @@ def test_alpha_powers_take_the_table_path(table_phase):
 
 
 def test_double_exp_reads_alpha_s_from_the_table(table_phase):
+    # the key's own table, which holds the alpha powers: never the alpha comb
     big_y = exp(PRODUCTION_GROUP, 7)
     before = _table_calls()
     double_exp(PRODUCTION_GROUP, big_y, 12345, 67890)
-    assert _table_calls() == before + 1
+    assert _table_calls() == before
 
 
 def test_first_powers_take_pow_then_the_table(monkeypatch):
@@ -216,8 +218,10 @@ def test_first_powers_take_pow_then_the_table(monkeypatch):
     g, before = PRODUCTION_GROUP, _table_calls()
     assert exp(g, 5) == pow(g.alpha, 5, g.p)
     assert double_exp(g, 8, 3, -6) == pow(8, 3, g.p) * pow(g.alpha, -6, g.p) % g.p
-    assert _table_calls() == before
+    assert _table_calls() == before and group._pow_countdown == 1  # double_exp takes none
     exp(g, 7)
+    assert _table_calls() == before
+    exp(g, 9)
     assert _table_calls() == before + 1
 
 
@@ -228,6 +232,16 @@ def test_expected_bulk_of_powers_builds_the_table_at_once(monkeypatch):
     assert _table_calls() == before and group._pow_countdown == group._POW_PHASE
     group.expect_alpha_powers(PRODUCTION_GROUP, group._POW_PHASE)
     assert _table_calls() == before + 1 and group._pow_countdown == 0
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports the package and tests' helpers."""
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(Path(group.__file__).parents[1]), str(tests)])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def test_a_process_first_powers_match_pow_and_build_no_table():
@@ -246,12 +260,31 @@ def test_a_process_first_powers_match_pow_and_build_no_table():
         assert (kp.Y, sig.s, sig.e) == (big_y, expected["s"], expected["e"])
         print(group._alpha_table.cache_info().currsize)
     """
-    tests = Path(__file__).parent
-    path = os.pathsep.join([str(Path(group.__file__).parents[1]), str(tests)])
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0"]
+    assert _run_python(code) == ["0"]
+
+
+def test_a_verifier_process_builds_no_alpha_table(tmp_path):
+    # far more verifies than the pow phase: alpha^s still never reads the comb
+    g, n = PRODUCTION_GROUP, 128
+    state, pk = semecs_keygen_from_secret(g, n, y=0x7E51F1ED)
+    keystore.save_state(tmp_path / "key.pk", keystore.record_from_semecs_public(pk))
+    envelopes = [semecs_sign(state, b"envelope %d" % i).to_bytes(g).hex() for i in range(n)]
+    (tmp_path / "envelopes").write_text("\n".join(envelopes))
+    code = f"""if True:
+        from pathlib import Path
+        from semecs import group, keystore
+        from semecs.semecs import SignedEnvelope, semecs_verify_indexed, semecs_verify_search
+        directory = Path({str(tmp_path)!r})
+        pk = keystore.semecs_public_from_record(keystore.load_state(directory / "key.pk"))
+        lines = (directory / "envelopes").read_text().split()
+        for i, line in enumerate(lines):
+            env = SignedEnvelope.from_bytes(pk.params, bytes.fromhex(line))
+            assert semecs_verify_indexed(pk, env) == (True, b"envelope %d" % i)
+            assert semecs_verify_search(pk, env) == (True, i, b"envelope %d" % i)
+        print(len(lines), group._y_table.cache_info().misses,
+              group._alpha_table.cache_info().currsize)
+    """
+    assert _run_python(code) == [str(n), "1", "0"]
 
 
 def test_parsed_parameters_share_the_constant_table_entry():
@@ -301,6 +334,17 @@ def test_double_exp_matches_pow_for_any_y_property(data):
     big_y = data.draw(st.integers(min_value=1, max_value=params.p - 1))
     e = data.draw(st.sampled_from(_split_edges(params)) | st.integers(0, params.q - 1))
     s = data.draw(st.integers(min_value=0, max_value=params.q - 1))
+    expected = pow(big_y, e, params.p) * pow(params.alpha, s, params.p) % params.p
+    assert double_exp(params, big_y, e, s) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_double_exp_reduces_any_s_mod_q_property(data):
+    params = data.draw(st.sampled_from(_COMB_GROUPS))
+    big_y = data.draw(st.integers(min_value=1, max_value=params.p - 1))
+    e = data.draw(st.sampled_from(_split_edges(params)))
+    s = data.draw(st.integers(min_value=-2 * params.q, max_value=2 * params.q))
     expected = pow(big_y, e, params.p) * pow(params.alpha, s, params.p) % params.p
     assert double_exp(params, big_y, e, s) == expected
 
