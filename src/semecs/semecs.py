@@ -28,17 +28,17 @@ Key generation spends one fixed-base exponentiation and four hashes on each
 index (ETA: one exponentiation and two hashes, the chain step and H1), and
 the indices are independent; both schemes fill their tokens through
 :func:`_token_buffer`.  From K = 512 up it forks one child per further core
-this process may run on, each over a contiguous range of at least 256
-indices, and computes the first range itself.  A child only hashes,
-multiplies big integers and writes its tokens to its own slice of one
-anonymous shared mapping, then leaves through ``os._exit``; it takes no lock
-that another thread could hold, touches no other file and runs no handler of
-the embedding program, so a caller with threads may run keygen.  Python 3.12+
-then warns that the child may deadlock (a DeprecationWarning, hidden by the
-default filters); it cannot, as it waits on no lock, and keygen leaves the
-process-wide, thread-unsafe warning filters alone.  Keygen builds the
-fixed-base alpha table before it forks, so every child inherits it.  K = 1
-never forks.
+this process may run on, while each is worth 256 indices, and all of them
+draw tickets of about 128 indices from one pipe until it is empty.  A child
+only hashes, multiplies big integers, reads the pipe and writes its tokens
+to their slices of one anonymous shared mapping, then leaves through
+``os._exit``; it takes no lock that another thread could hold, touches no
+other file and runs no handler of the embedding program, so a caller with
+threads may run keygen.  Python 3.12+ then warns that the child may deadlock
+(a DeprecationWarning, hidden by the default filters); it cannot, as it
+waits on no lock, and keygen leaves the process-wide, thread-unsafe warning
+filters alone.  Keygen builds the fixed-base alpha table before it forks, so
+every child inherits it.  K = 1 never forks.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ INDEX_RETRY_BOUND = 8
 #: and for ETA, whose index costs one hash where SEMECS's costs four
 #: (BENCH_23.json).  Below it, forking costs about as much as the child saves.
 _MIN_INDICES_PER_WORKER = 256
+
+_TICKET_INDICES = 128  # indices per ticket when several workers draw; one takes [0, K) whole
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +347,46 @@ def _token_buffer(K: int, width: int, token_range: Callable[[int, int], bytes]) 
     """K tokens of ``width`` octets from ``token_range``, split across the usable cores.
 
     ``token_range(lo, hi)`` returns tokens [lo, hi) concatenated, one alpha
-    power each.  The index range is cut into one contiguous range per worker,
-    with at least ``_MIN_INDICES_PER_WORKER`` indices each.  A child is forked
-    for each range after the first and writes its own slice of one shared
-    mapping; a slice of the wrong size raises there, so exit status 0 means the
-    range is complete.  This process fills range 0, reaps every child and
-    copies the mapping out, so the result is the serial one octet for octet.
-    If anything fails, the children still running are killed and all are
-    reaped before the error propagates; a failed child raises ChildProcessError.
+    power each.  This process and a forked child per further usable core, each
+    worth at least ``_MIN_INDICES_PER_WORKER`` indices, draw ticket numbers
+    from one pipe, filled before the first fork, and write each ticket's
+    tokens to its slice of one shared mapping until the pipe is empty, so a
+    slowed worker draws fewer.  A slice of the wrong size raises, so a
+    child's exit status 0 means its tickets are complete.  This process reaps
+    every child and copies the mapping out, so the result is the serial one
+    octet for octet.  If anything fails, the children still running are
+    killed and all are reaped before the error propagates; a failed child
+    raises ChildProcessError.
     """
     import mmap  # here, not at the top: importing semecs loads no mmap module
 
     workers = max(1, min(len(os.sched_getaffinity(0)), K // _MIN_INDICES_PER_WORKER))
-    bounds = [K * w // workers for w in range(workers + 1)]
-    pids = []  # one child for each range after the first
-    with mmap.mmap(-1, width * K) as shared:  # MAP_SHARED: children write these pages
+    tickets = min(255, K // _TICKET_INDICES) if workers > 1 else 1  # numbered in one octet
+    bounds = [K * t // tickets for t in range(tickets + 1)]
+    pipe_r, pipe_w = os.pipe()
+    with open(pipe_w, "wb") as feed:  # closed before any fork, so a drained pipe reads EOF
+        feed.write(bytes(range(tickets)))
+
+    def fill():  # fill each ticket drawn until the pipe is empty, yielding its size
+        while drawn := draws.read(1):
+            lo, hi = bounds[drawn[0]], bounds[drawn[0] + 1]
+            shared[width * lo : width * hi] = token_range(lo, hi)
+            yield hi - lo
+
+    pids = []  # one child for each worker after the first; all write the MAP_SHARED pages
+    with open(pipe_r, "rb", buffering=0) as draws, mmap.mmap(-1, width * K) as shared:
         try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
+            for _ in range(workers - 1):
                 pid = os.fork()
                 if pid == 0:
                     code = 1
                     try:
-                        shared[width * lo : width * hi] = token_range(lo, hi)
+                        sum(fill())
                         code = 0
                     finally:
                         os._exit(code)
                 pids.append(pid)
-            shared[: width * bounds[1]] = token_range(0, bounds[1])
+            own = sum(fill())
         except BaseException:
             import signal  # only on failure: importing semecs loads no signal module
 
@@ -384,7 +399,7 @@ def _token_buffer(K: int, width: int, token_range: Callable[[int, int], bytes]) 
             raise ChildProcessError(
                 f"a keygen worker failed (exit codes {statuses}); no key was produced"
             )
-        _bump("exp_count", K - bounds[1])  # the children's exps never reach this counter
+        _bump("exp_count", K - own)  # the children's exps never reach this counter
         return shared[:]
 
 
@@ -410,9 +425,8 @@ def semecs_keygen_from_secret(
     """
     _check_keygen(params, K, y)
     big_y, L = exp(params, y), params.scalar_len
-    buf = _token_buffer(K, 2 * L, lambda lo, hi: _token_range(params, y, lo, hi))
-    gammas, betas = Tokens(buf, 0, 2 * L, L, K), Tokens(buf, L, 2 * L, L, K)
-    pk = SemecsPublicKey(params, big_y, gammas, betas)
+    tokens = _token_buffer(K, 2 * L, lambda lo, hi: _token_range(params, y, lo, hi))
+    pk = SemecsPublicKey.viewing(params, big_y, encode_element(params, big_y) + tokens, K)
     return SemecsSigningState(params=params, y=y, j=0, K=K), pk
 
 

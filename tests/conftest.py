@@ -1,6 +1,7 @@
 import contextlib
 import os
 import random
+import select
 import sys
 import threading
 import time
@@ -90,23 +91,36 @@ def assert_reaped(pids):
 
 
 def fail_keygen_ranges(monkeypatch, in_child, exc):
-    """Make ETA and SEMECS keygen raise ``exc`` in the forked children, or else in range 0.
+    """Make ETA and SEMECS keygen raise ``exc`` in the forked children, or else in the parent.
 
-    Wraps the ``token_range`` that ``_token_buffer`` receives.  In the
-    second case the children sleep first, so they are still running when
-    the parent fails.
+    Wraps the ``token_range`` that ``_token_buffer`` receives.  Any worker
+    may draw any ticket, so the processes are told apart by pid.  In the
+    first case the parent's first ticket waits until a child has drawn one,
+    so the parent cannot empty the pipe first.  In the second the children
+    sleep first, so they are still running when the parent fails.
     """
     real_buffer = semecs_mod._token_buffer
 
     def token_buffer(K, width, token_range):
+        parent, (drawn, draw) = os.getpid(), os.pipe()  # a failing child writes here
+
         def failing_range(lo, hi):
-            if (lo > 0) == in_child:
+            in_parent = os.getpid() == parent
+            if in_parent != in_child:
+                if not in_parent:
+                    os.write(draw, b"x")
                 raise exc
-            if lo > 0:
+            if not in_parent:
                 time.sleep(30)  # a child still running when the parent fails
+            else:
+                select.select([drawn], [], [], 30)  # readable once a child drew and failed
             return token_range(lo, hi)
 
-        return real_buffer(K, width, failing_range)
+        try:
+            return real_buffer(K, width, failing_range)
+        finally:
+            os.close(drawn)
+            os.close(draw)
 
     for module in (semecs_mod, eta_mod):
         monkeypatch.setattr(module, "_token_buffer", token_buffer)

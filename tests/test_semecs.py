@@ -14,7 +14,7 @@ from semecs.errors import (
 )
 from semecs.eta import EtaSigningState, eta_keygen_from_secrets, eta_sign
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
-from semecs import group, semecs as semecs_mod
+from semecs import eta as eta_mod, group, semecs as semecs_mod
 from semecs.keystore import (
     eta_public_from_record,
     record_from_eta_public,
@@ -179,7 +179,7 @@ def _oracle_tokens(scheme, params, K, secret):
 @_SCHEMES
 @pytest.mark.parametrize(
     "K, n_forks",
-    [(_SPLIT_K - 1, 0), (_SPLIT_K, 1), (_SPLIT_K + 257, 2)],  # the last splits 256/256/257
+    [(_SPLIT_K - 1, 0), (_SPLIT_K, 1), (_SPLIT_K + 257, 2)],  # the last: 6 tickets, one of 129
     ids=["below", "at", "odd-above"],
 )
 def test_split_keygen_matches_oracle(cores, forks, K, n_forks, scheme):
@@ -243,7 +243,7 @@ def test_keygen_fork_failure_leaves_no_child(cores, forks, monkeypatch, call, sc
 
 
 @_SCHEMES
-@pytest.mark.parametrize("exc", [RuntimeError("range 0 failed"), KeyboardInterrupt()],
+@pytest.mark.parametrize("exc", [RuntimeError("a parent ticket failed"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
 def test_parent_failure_kills_and_reaps_every_child(cores, forks, monkeypatch, exc, scheme):
     cores(3)
@@ -262,6 +262,35 @@ def test_failed_child_raises_child_process_error(cores, forks, monkeypatch, sche
     fail_keygen_ranges(monkeypatch, in_child=True, exc=RuntimeError())
     with no_new_descriptors(), pytest.raises(ChildProcessError):
         _keygen_tokens(scheme, BIG_TOY_GROUP, _SPLIT_K, 7)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@_SCHEMES
+def test_a_slowed_child_leaves_its_tickets_to_the_parent(cores, forks, monkeypatch, scheme):
+    parent, parent_indices, real_buffer = os.getpid(), [], semecs_mod._token_buffer
+
+    def token_buffer(K, width, token_range):
+        slept = []  # the child's own copy after the fork
+
+        def range_slowed_in_the_child(lo, hi):
+            if os.getpid() == parent:
+                parent_indices.append(hi - lo)
+            elif not slept:
+                slept.append(time.sleep(0.5))  # the child's first ticket only
+            return token_range(lo, hi)
+
+        return real_buffer(K, width, range_slowed_in_the_child)
+
+    for module in (semecs_mod, eta_mod):
+        monkeypatch.setattr(module, "_token_buffer", token_buffer)
+    cores(2)
+    K = 2 * _SPLIT_K
+    with no_new_descriptors(), count_group_ops() as ops:
+        tokens = _keygen_tokens(scheme, BIG_TOY_GROUP, K, 0x5EED)
+    assert sum(parent_indices) > K // 2  # a static split gives each worker half
+    assert tokens == _oracle_tokens(scheme, BIG_TOY_GROUP, K, 0x5EED)
+    assert ops.exp_count == K + 1
     assert len(forks) == 1
     assert_reaped(forks)
 
