@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hmac
 import threading
-from collections.abc import Sequence
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import MalformedEncoding
@@ -33,7 +33,7 @@ from .group import (
     random_scalar,
     scalar_sub_mul,
 )
-from .semecs import INDEX_LEN, Tokens, _SigningState, _check_keygen, _token_buffer
+from .semecs import INDEX_LEN, _KTimePublicKey, _SigningState, _check_keygen, _token_buffer
 
 X_LEN = 16  # kappa = 128 bits of per-signature randomness
 ENVELOPE_VERSION = 1
@@ -51,14 +51,8 @@ class EtaSigningState(_SigningState):
         self.persist, self.lock = None, threading.Lock()
 
 
-class EtaPublicKey(NamedTuple):
-    params: GroupParams
-    Y: int
-    tokens: Sequence[bytes]  # v_j = H1(R_j), one scalar_len digest per index
-
-    @property
-    def K(self) -> int:
-        return len(self.tokens)
+class EtaPublicKey(_KTimePublicKey, namedtuple("EtaPublicKey", "params Y tokens")):
+    """Y and the tokens v_j = H1(R_j), one scalar_len digest per index."""
 
 
 class EtaSignature(NamedTuple):
@@ -83,11 +77,11 @@ def eta_keygen_from_secrets(
     chain = [r0]  # r_0 .. r_{K-1}, hashed here so that each range is independent
     for _ in range(K - 1):
         chain.append(h0.eval(chain[-1].to_bytes(L, "big")))
-    tokens = Tokens(_token_buffer(K, L, lambda lo, hi: b"".join([
+    tokens = _token_buffer(K, L, lambda lo, hi: b"".join([
         h1.eval_encoded(exp(params, r).to_bytes(element_len, "big")) for r in chain[lo:hi]
-    ])), 0, L, L, K)
-    state = EtaSigningState(params=params, y=y, r_cur=r0, j=0, K=K)
-    return state, EtaPublicKey(params=params, Y=big_y, tokens=tokens)
+    ]))
+    pk = EtaPublicKey.viewing(params, big_y, encode_element(params, big_y) + tokens, K)
+    return EtaSigningState(params=params, y=y, r_cur=r0, j=0, K=K), pk
 
 
 def eta_keygen(

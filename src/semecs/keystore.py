@@ -293,24 +293,37 @@ def _element(params: GroupParams, blob: bytes) -> int:
         raise CorruptState(f"bad public key payload: {exc}") from exc
 
 
-def _secret(params: GroupParams, blob: bytes) -> int:
+def _scalars(record: SignerStateRecord, tag: int, role: int, n: int = 1) -> list[int]:
+    """The n nonzero canonical scalars that a ``tag``/``role`` secret record holds."""
+    params, L = record.params, record.params.scalar_len
+    payload = _payload(record, tag, role, n * L)
     try:
-        value = decode_scalar(params, blob)
+        scalars = [decode_scalar(params, payload[at : at + L]) for at in range(0, n * L, L)]
     except MalformedEncoding as exc:
         raise CorruptState(f"bad secret payload: {exc}") from exc
-    if value == 0:
+    if 0 in scalars:
         raise CorruptState("bad secret payload: secret scalar is zero")
-    return value
+    return scalars
+
+
+def _scalar_payload(params: GroupParams, *scalars: int) -> bytes:
+    return b"".join(encode_scalar(params, scalar) for scalar in scalars)
+
+
+def _public_from_record(record: SignerStateRecord, tag: int, key_type):
+    """The ``key_type`` K-time public key, viewing the payload's tokens in place."""
+    params, K = record.params, record.K
+    payload = _payload(record, tag, ROLE_PUBLIC, key_type.payload_len(params, K))
+    return key_type.viewing(params, _element(params, payload[: params.element_len]), payload, K)
 
 
 def record_from_schnorr_key(kp: schnorr_mod.SchnorrKeyPair) -> SignerStateRecord:
-    return _record(SCHEME_SCHNORR, ROLE_SECRET, kp.params, encode_scalar(kp.params, kp.y))
+    return _record(SCHEME_SCHNORR, ROLE_SECRET, kp.params, _scalar_payload(kp.params, kp.y))
 
 
 def schnorr_key_from_record(record: SignerStateRecord) -> schnorr_mod.SchnorrKeyPair:
-    params = record.params
-    payload = _payload(record, SCHEME_SCHNORR, ROLE_SECRET, params.scalar_len)
-    return schnorr_mod.SchnorrKeyPair.from_private(params, _secret(params, payload))
+    (y,) = _scalars(record, SCHEME_SCHNORR, ROLE_SECRET)
+    return schnorr_mod.SchnorrKeyPair.from_private(record.params, y)
 
 
 def record_from_schnorr_public(
@@ -326,55 +339,32 @@ def schnorr_public_from_record(record: SignerStateRecord) -> int:
     )
 
 
-def _eta_payload(params: GroupParams, y: int, r_cur: int) -> bytes:
-    return encode_scalar(params, y) + encode_scalar(params, r_cur)
-
-
 def record_from_eta_state(state: eta_mod.EtaSigningState) -> SignerStateRecord:
-    payload = _eta_payload(state.params, state.y, state.r_cur)
+    payload = _scalar_payload(state.params, state.y, state.r_cur)
     return _record(SCHEME_ETA, ROLE_STATE, state.params, payload, state.j, state.K)
 
 
 def eta_state_from_record(record: SignerStateRecord) -> eta_mod.EtaSigningState:
-    params = record.params
-    L = params.scalar_len
-    payload = _payload(record, SCHEME_ETA, ROLE_STATE, 2 * L)
-    return eta_mod.EtaSigningState(
-        params=params,
-        y=_secret(params, payload[:L]),
-        r_cur=_secret(params, payload[L:]),
-        j=record.j,
-        K=record.K,
-    )
+    y, r_cur = _scalars(record, SCHEME_ETA, ROLE_STATE, 2)
+    return eta_mod.EtaSigningState(record.params, y=y, r_cur=r_cur, j=record.j, K=record.K)
 
 
 def record_from_eta_public(pk: eta_mod.EtaPublicKey) -> SignerStateRecord:
-    tokens = pk.tokens
-    if isinstance(tokens, semecs_mod.Tokens) and tokens.stride == tokens.width:  # one run
-        tokens = [tokens.buffer[tokens.start : tokens.start + len(tokens) * tokens.width]]
-    payload = encode_element(pk.params, pk.Y) + b"".join(tokens)
-    return _record(SCHEME_ETA, ROLE_PUBLIC, pk.params, payload, K=pk.K)
+    return _record(SCHEME_ETA, ROLE_PUBLIC, pk.params, pk.payload, K=pk.K)
 
 
 def eta_public_from_record(record: SignerStateRecord) -> eta_mod.EtaPublicKey:
-    params = record.params
-    L, elen = params.scalar_len, params.element_len
-    payload = _payload(record, SCHEME_ETA, ROLE_PUBLIC, elen + record.K * L)
-    tokens = semecs_mod.Tokens(payload, elen, L, L, record.K)
-    return eta_mod.EtaPublicKey(params, _element(params, payload[:elen]), tokens)
+    return _public_from_record(record, SCHEME_ETA, eta_mod.EtaPublicKey)
 
 
 def record_from_semecs_state(state: semecs_mod.SemecsSigningState) -> SignerStateRecord:
-    payload = encode_scalar(state.params, state.y)
+    payload = _scalar_payload(state.params, state.y)
     return _record(SCHEME_SEMECS, ROLE_STATE, state.params, payload, state.j, state.K)
 
 
 def semecs_state_from_record(record: SignerStateRecord) -> semecs_mod.SemecsSigningState:
-    params = record.params
-    payload = _payload(record, SCHEME_SEMECS, ROLE_STATE, params.scalar_len)
-    return semecs_mod.SemecsSigningState(
-        params=params, y=_secret(params, payload), j=record.j, K=record.K
-    )
+    (y,) = _scalars(record, SCHEME_SEMECS, ROLE_STATE)
+    return semecs_mod.SemecsSigningState(record.params, y=y, j=record.j, K=record.K)
 
 
 def record_from_semecs_public(pk: semecs_mod.SemecsPublicKey) -> SignerStateRecord:
@@ -386,10 +376,7 @@ def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPub
 
     Its search index is built on first search.
     """
-    params = record.params
-    L, elen, K = params.scalar_len, params.element_len, record.K
-    payload = _payload(record, SCHEME_SEMECS, ROLE_PUBLIC, elen + 2 * K * L)
-    return semecs_mod.SemecsPublicKey.viewing(params, _element(params, payload[:elen]), payload, K)
+    return _public_from_record(record, SCHEME_SEMECS, semecs_mod.SemecsPublicKey)
 
 
 def keygen_records(scheme: str, params: GroupParams, K: Optional[int] = None):
@@ -414,7 +401,7 @@ def open_signer(path, record=None):
         state = eta_state_from_record(record)
         params, y = state.params, state.y
         state.persist = lambda j, r_next: advance_counter(
-            path, j, new_payload=_eta_payload(params, y, r_next))
+            path, j, new_payload=_scalar_payload(params, y, r_next))
     else:
         state = semecs_state_from_record(record)
         state.persist = lambda j: advance_counter(path, j)

@@ -256,28 +256,39 @@ def build_search_index(betas: Sequence[bytes]) -> SearchIndex:
     return SearchIndex(betas, array("I", sorted(range(len(tokens)), key=tokens.__getitem__)))
 
 
-class SemecsPublicKey(namedtuple("SemecsPublicKey", "params Y gammas betas")):
-    # no ``__slots__ = ()``: cached_property keeps payload and search_index in the instance dict
+class _KTimePublicKey:
+    """Both K-time public keys: named tuples of params, Y, then one field per token of an index.
+
+    The public record's payload is Y's encoding, then every index's tokens in
+    field order (ETA: v_j; SEMECS: gamma_j, beta_j).  No ``__slots__``:
+    cached_property keeps ``payload`` in the instance dict.
+    """
 
     @classmethod
-    def viewing(cls, params: GroupParams, big_y: int, payload: bytes, K: int) -> "SemecsPublicKey":
+    def viewing(cls, params: GroupParams, big_y: int, payload: bytes, K: int):
         """The K-index key whose tokens view ``payload``, laid out as :attr:`payload` is."""
-        L, start = params.scalar_len, params.element_len
-        pk = cls(params, big_y, Tokens(payload, start, 2 * L, L, K),
-                 Tokens(payload, start + L, 2 * L, L, K))
+        L, n = params.scalar_len, len(cls._fields) - 2  # n tokens per index
+        starts = range(params.element_len, params.element_len + n * L, L)
+        pk = cls(params, big_y, *(Tokens(payload, start, n * L, L, K) for start in starts))
         pk.payload = payload  # fills the cache below
         return pk
 
+    @classmethod
+    def payload_len(cls, params: GroupParams, K: int) -> int:
+        """Octets in the :attr:`payload` of a K-index key."""
+        return params.element_len + K * (len(cls._fields) - 2) * params.scalar_len
+
     @property
     def K(self) -> int:
-        return len(self.betas)
+        return len(self[-1])
 
     @functools.cached_property
     def payload(self) -> bytes:
-        """Y's encoding, then gamma_j || beta_j for every j: the public record's payload."""
-        tokens = b"".join(g + b for g, b in zip(self.gammas, self.betas))
-        return encode_element(self.params, self.Y) + tokens
+        """Y's encoding, then the tokens of each index in turn."""
+        return encode_element(self.params, self.Y) + b"".join(map(b"".join, zip(*self[2:])))
 
+
+class SemecsPublicKey(_KTimePublicKey, namedtuple("SemecsPublicKey", "params Y gammas betas")):
     @functools.cached_property
     def search_index(self) -> SearchIndex:
         """Built on the first search; raises DuplicateBeta when two betas collide."""
@@ -360,7 +371,8 @@ def _token_buffer(K: int, width: int, token_range: Callable[[int, int], bytes]) 
     """
     import mmap  # here, not at the top: importing semecs loads no mmap module
 
-    workers = max(1, min(len(os.sched_getaffinity(0)), K // _MIN_INDICES_PER_WORKER))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cores or 1, K // _MIN_INDICES_PER_WORKER))
     tickets = min(255, K // _TICKET_INDICES) if workers > 1 else 1  # numbered in one octet
     bounds = [K * t // tickets for t in range(tickets + 1)]
     pipe_r, pipe_w = os.pipe()

@@ -226,6 +226,15 @@ def test_zero_secret_scalar_is_corrupt(zero_secret_record):
         _SECRET_LOADERS[zero_secret_record.scheme_tag](zero_secret_record)
 
 
+def test_non_canonical_secret_scalar_is_corrupt(zero_secret_record):
+    L = PRODUCTION_GROUP.scalar_len
+    q = PRODUCTION_GROUP.q.to_bytes(L, "big")  # the named slot holds q in place of 0
+    record = zero_secret_record._replace(payload=zero_secret_record.payload.replace(bytes(L), q))
+    assert record.payload.count(q) == 1
+    with pytest.raises(CorruptState, match="not canonical"):
+        _SECRET_LOADERS[record.scheme_tag](record)
+
+
 def test_capacity_beyond_the_index_field_is_corrupt(large_k_record):
     record = parse_record(serialize_record(large_k_record))  # the record itself loads
     with pytest.raises(CorruptState, match="capacity"):
@@ -387,7 +396,8 @@ def test_fresh_loaded_and_hand_built_eta_keys_write_the_oracle_octets(tmp_path):
     loaded = keystore.eta_public_from_record(load_state(tmp_path / "k.pk"))
     spaced = b"".join(token + b"\xff" * L for token in t["tokens"])  # a view with gaps
     with mock.patch.object(Tokens, "__iter__", side_effect=AssertionError("token by token")):
-        records = [keystore.record_from_eta_public(key) for key in (pk, loaded)]  # one slice
+        records = [keystore.record_from_eta_public(key) for key in (pk, loaded)]  # no copy
+    assert records[0].payload is pk.tokens.buffer and records[1].payload is loaded.tokens.buffer
     for tokens in (tuple(t["tokens"]), Tokens(spaced, 0, 2 * L, L, 6)):
         records.append(keystore.record_from_eta_public(pk._replace(tokens=tokens)))
     assert [record.payload for record in records] == [expected] * 4

@@ -14,7 +14,7 @@ from semecs.errors import (
 )
 from semecs.eta import EtaSigningState, eta_keygen_from_secrets, eta_sign
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP, count_group_ops, exp
-from semecs import eta as eta_mod, group, semecs as semecs_mod
+from semecs import cli, eta as eta_mod, group, semecs as semecs_mod
 from semecs.keystore import (
     eta_public_from_record,
     record_from_eta_public,
@@ -190,6 +190,24 @@ def test_split_keygen_matches_oracle(cores, forks, K, n_forks, scheme):
     assert len(forks) == n_forks
     assert tokens == _oracle_tokens(scheme, BIG_TOY_GROUP, K, 0x5EED)
     assert_reaped(forks)
+
+
+@_SCHEMES
+@pytest.mark.parametrize("cpus, n_forks", [(2, 1), (None, 0)])
+def test_keygen_without_sched_getaffinity_counts_cpus(forks, monkeypatch, tmp_path,
+                                                      cpus, n_forks, scheme):
+    # macOS has no os.sched_getaffinity; os.cpu_count() may return None
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    with count_group_ops() as ops:
+        tokens = _keygen_tokens(scheme, BIG_TOY_GROUP, _SPLIT_K, 0x5EED)
+    assert ops.exp_count == _SPLIT_K + 1
+    assert len(forks) == n_forks
+    assert tokens == _oracle_tokens(scheme, BIG_TOY_GROUP, _SPLIT_K, 0x5EED)
+    assert_reaped(forks)
+    prefix = str(tmp_path / "k")
+    argv = ["keygen", "--scheme", scheme, "--group", "toy", "-K", "16", "--out-prefix", prefix]
+    assert cli.main(argv) == 0
 
 
 def test_split_production_record_hashes_as_the_serial_one(cores, forks):
