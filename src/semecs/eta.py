@@ -20,7 +20,6 @@ import threading
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import MalformedEncoding
 from .fdh import fdh_pair
 from .group import (
     GroupParams,
@@ -29,14 +28,15 @@ from .group import (
     encode_scalar,
     decode_scalar,
     exp,
+    join_envelope,
     random_octets,
     random_scalar,
     scalar_sub_mul,
+    split_envelope,
 )
 from .semecs import INDEX_LEN, _KTimePublicKey, _SigningState, _check_keygen, _token_buffer
 
 X_LEN = 16  # kappa = 128 bits of per-signature randomness
-ENVELOPE_VERSION = 1
 
 
 class EtaSigningState(_SigningState):
@@ -127,29 +127,12 @@ def eta_verify(pk: EtaPublicKey, message: bytes, sig: EtaSignature) -> bool:
 
 # --- wire format -----------------------------------------------------------
 
-def encode_signed_message(
-    params: GroupParams, sig: EtaSignature, message: bytes
-) -> bytes:
+def encode_signed_message(params: GroupParams, sig: EtaSignature, message: bytes) -> bytes:
     """version || j || s || x || message."""
-    return (
-        bytes([ENVELOPE_VERSION])
-        + sig.j.to_bytes(INDEX_LEN, "big")
-        + encode_scalar(params, sig.s)
-        + sig.x
-        + message
-    )
+    j = sig.j.to_bytes(INDEX_LEN, "big")
+    return join_envelope(j, encode_scalar(params, sig.s), sig.x, message)
 
 
-def decode_signed_message(
-    params: GroupParams, data: bytes
-) -> tuple[EtaSignature, bytes]:
-    L = params.scalar_len
-    head = 1 + INDEX_LEN + L + X_LEN
-    if len(data) < head:
-        raise MalformedEncoding("signed message too short")
-    if data[0] != ENVELOPE_VERSION:
-        raise MalformedEncoding(f"unknown envelope version {data[0]}")
-    j = int.from_bytes(data[1 : 1 + INDEX_LEN], "big")
-    s = decode_scalar(params, data[1 + INDEX_LEN : 1 + INDEX_LEN + L])
-    x = data[1 + INDEX_LEN + L : head]
-    return EtaSignature(s=s, x=x, j=j), data[head:]
+def decode_signed_message(params: GroupParams, data: bytes) -> tuple[EtaSignature, bytes]:
+    j, s, x, message = split_envelope(data, INDEX_LEN, params.scalar_len, X_LEN)
+    return EtaSignature(s=decode_scalar(params, s), x=x, j=int.from_bytes(j, "big")), message

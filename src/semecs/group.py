@@ -29,6 +29,10 @@ whatever the exponent.  The alpha table is still indexed by secret digits,
 which is no worse than the sliding window inside CPython's ``pow`` but no
 better either; CPython big integers are not constant-time, so this is
 hygiene, not a hardened side-channel guarantee.
+
+The canonical encodings here include every scheme's envelope framing, a
+version octet then fixed-width fields then the rest (:func:`join_envelope`,
+:func:`split_envelope`).
 """
 
 from __future__ import annotations
@@ -310,6 +314,33 @@ def decode_element(params: GroupParams, data: bytes) -> int:
     if not (1 <= value < params.p and pow(value, params.q, params.p) == 1):
         raise MalformedEncoding("octets do not decode to a subgroup element")
     return value
+
+
+#: The first octet of every scheme's signed envelope.
+ENVELOPE_VERSION = 1
+
+
+def join_envelope(*fields: bytes) -> bytes:
+    """A signed envelope: the version octet, then ``fields`` in order."""
+    return bytes([ENVELOPE_VERSION]) + b"".join(fields)
+
+
+def split_envelope(data: bytes, *widths: int) -> list[bytes]:
+    """Inverse of :func:`join_envelope`: the fields of the given widths, then the rest.
+
+    >>> split_envelope(b"\\x01abcdef", 2, 3)
+    [b'ab', b'cde', b'f']
+    """
+    if len(data) < 1 + sum(widths):
+        raise MalformedEncoding("envelope too short")
+    if data[0] != ENVELOPE_VERSION:
+        raise MalformedEncoding(f"unknown envelope version {data[0]}")
+    fields, offset = [], 1
+    for width in widths:
+        fields.append(data[offset : offset + width])
+        offset += width
+    fields.append(data[offset:])
+    return fields
 
 
 # ---------------------------------------------------------------------------

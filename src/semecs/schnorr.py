@@ -2,14 +2,14 @@
 
 The ancestor of the multiple-time schemes in this package; kept as a
 correctness cross-check and benchmark baseline.  The signature is the pair
-(s, e) -- the challenge travels, not the commitment R.
+(s, e) -- the challenge travels, not the commitment R -- framed on the wire
+by :func:`semecs.group.join_envelope` like the other schemes' envelopes.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import MalformedEncoding
 from .fdh import fdh_pair
 from .group import (
     GroupParams,
@@ -18,11 +18,11 @@ from .group import (
     encode_scalar,
     decode_scalar,
     exp,
+    join_envelope,
     random_scalar,
     scalar_sub_mul,
+    split_envelope,
 )
-
-ENVELOPE_VERSION = 1
 
 
 class SchnorrKeyPair(NamedTuple):
@@ -79,26 +79,11 @@ def schnorr_verify(
 
 # --- wire format -----------------------------------------------------------
 
-def encode_signed_message(
-    params: GroupParams, sig: SchnorrSignature, message: bytes
-) -> bytes:
+def encode_signed_message(params: GroupParams, sig: SchnorrSignature, message: bytes) -> bytes:
     """version || s || e || message."""
-    return (
-        bytes([ENVELOPE_VERSION])
-        + encode_scalar(params, sig.s)
-        + encode_scalar(params, sig.e)
-        + message
-    )
+    return join_envelope(encode_scalar(params, sig.s), encode_scalar(params, sig.e), message)
 
 
-def decode_signed_message(
-    params: GroupParams, data: bytes
-) -> tuple[SchnorrSignature, bytes]:
-    L = params.scalar_len
-    if len(data) < 1 + 2 * L:
-        raise MalformedEncoding("signed message too short")
-    if data[0] != ENVELOPE_VERSION:
-        raise MalformedEncoding(f"unknown envelope version {data[0]}")
-    s = decode_scalar(params, data[1 : 1 + L])
-    e = decode_scalar(params, data[1 + L : 1 + 2 * L])
-    return SchnorrSignature(s=s, e=e), data[1 + 2 * L :]
+def decode_signed_message(params: GroupParams, data: bytes) -> tuple[SchnorrSignature, bytes]:
+    s, e, message = split_envelope(data, params.scalar_len, params.scalar_len)
+    return SchnorrSignature(s=decode_scalar(params, s), e=decode_scalar(params, e)), message

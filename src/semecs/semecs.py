@@ -16,7 +16,7 @@ c_j = first-scalar_len-octets-of-M XOR z_j, so c_j simultaneously randomizes
 the Fiat-Shamir hash e_j = H0(c_j || M~) and carries message payload that the
 verifier recovers via gamma_j.  Cryptographic transmission overhead beyond
 the message is s_j alone (32 octets in the 256-bit prime-field group) plus
-the small envelope header.
+the 6-octet envelope header, framed by :func:`semecs.group.join_envelope`.
 
 Verification is either indexed (j travels in the envelope) or index-free via
 binary search over the sorted beta tokens.  Signing twice at one index is
@@ -70,11 +70,12 @@ from .group import (
     decode_scalar,
     exp,
     expect_alpha_powers,
+    join_envelope,
     random_scalar,
     scalar_sub_mul,
+    split_envelope,
 )
 
-ENVELOPE_VERSION = 1
 INDEX_LEN = 4  # wire width of j; K is capped accordingly
 ENVELOPE_HEADER_LEN = 1 + INDEX_LEN + 1  # version, j, padded flag
 MAX_K = (1 << (8 * INDEX_LEN)) - 1
@@ -305,30 +306,19 @@ class SignedEnvelope(NamedTuple):
     m_tilde: bytes
 
     def to_bytes(self, params: GroupParams) -> bytes:
-        return (
-            bytes([ENVELOPE_VERSION])
-            + self.j.to_bytes(INDEX_LEN, "big")
-            + bytes([1 if self.padded else 0])
-            + encode_scalar(params, self.s)
-            + self.c
-            + self.m_tilde
-        )
+        """version || j || padded || s || c || M-tilde."""
+        flag = b"\x01" if self.padded else b"\x00"
+        return join_envelope(self.j.to_bytes(INDEX_LEN, "big"), flag,
+                             encode_scalar(params, self.s), self.c, self.m_tilde)
 
     @classmethod
     def from_bytes(cls, params: GroupParams, data: bytes) -> "SignedEnvelope":
         L = params.scalar_len
-        if len(data) < ENVELOPE_HEADER_LEN + 2 * L:
-            raise MalformedEncoding("envelope too short")
-        if data[0] != ENVELOPE_VERSION:
-            raise MalformedEncoding(f"unknown envelope version {data[0]}")
-        flag = data[1 + INDEX_LEN]
-        if flag not in (0, 1):
+        j, flag, s, c, m_tilde = split_envelope(data, INDEX_LEN, 1, L, L)
+        if flag not in (b"\x00", b"\x01"):
             raise MalformedEncoding("invalid padding flag")
-        j = int.from_bytes(data[1 : 1 + INDEX_LEN], "big")
-        off = ENVELOPE_HEADER_LEN
-        s = decode_scalar(params, data[off : off + L])
-        c = data[off + L : off + 2 * L]
-        return cls(j=j, padded=bool(flag), s=s, c=c, m_tilde=data[off + 2 * L :])
+        return cls(j=int.from_bytes(j, "big"), padded=flag == b"\x01",
+                   s=decode_scalar(params, s), c=c, m_tilde=m_tilde)
 
 
 # ---------------------------------------------------------------------------

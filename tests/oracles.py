@@ -111,6 +111,29 @@ def semecs_sign_transcript(params, y: int, j: int, message: bytes):
     }
 
 
+def _index_octets(j: int) -> bytes:
+    return j.to_bytes(4, "big")  # the envelope's index field
+
+
+def schnorr_envelope(params, y: int, r: int, message: bytes) -> bytes:
+    """version 1 || s || e || M, from :func:`schnorr_transcript`."""
+    t = schnorr_transcript(params, y, r, message)
+    return b"\x01" + scalar_octets(params, t["s"]) + scalar_octets(params, t["e"]) + message
+
+
+def eta_envelope(params, y: int, r_j: int, j: int, x: bytes, message: bytes) -> bytes:
+    """version 1 || j || s || x || M, from :func:`eta_sign_transcript`."""
+    t = eta_sign_transcript(params, y, r_j, j, x, message)
+    return b"\x01" + _index_octets(j) + scalar_octets(params, t["s"]) + x + message
+
+
+def semecs_envelope(params, y: int, j: int, message: bytes) -> bytes:
+    """version 1 || j || padded || s || c || M-tilde, from :func:`semecs_sign_transcript`."""
+    t = semecs_sign_transcript(params, y, j, message)
+    head = b"\x01" + _index_octets(j) + (b"\x01" if t["padded"] else b"\x00")
+    return head + scalar_octets(params, t["s"]) + t["c"] + t["m_tilde"]
+
+
 def brute_force_dlog(params, big_y: int) -> int:
     """Exhaustive discrete log: the y in [0, q-1] with alpha^y = Y mod p."""
     acc = 1

@@ -155,6 +155,18 @@ def test_sign_verify_round_trip(tmp_path, msgfile, capsysbinary, scheme, K):
     assert out == msgfile.read_bytes()  # stdout carries exactly the message
 
 
+@pytest.mark.parametrize("scheme", ["eta", "semecs"])
+def test_single_index_key_signs_once(tmp_path, msgfile, capsysbinary, scheme):
+    prefix = _keygen(tmp_path, scheme=scheme, K=1)
+    sign = ["sign", "--sk", f"{prefix}.sk", "--in", str(msgfile), "--out"]
+    assert main(sign + [str(tmp_path / "m.env")]) == 0
+    capsysbinary.readouterr()
+    assert main(["verify", "--pk", f"{prefix}.pk", "--env", str(tmp_path / "m.env")]) == 0
+    assert capsysbinary.readouterr().out == msgfile.read_bytes()
+    assert main(sign + [str(tmp_path / "m2.env")]) == 3
+    assert not (tmp_path / "m2.env").exists()
+
+
 def test_verify_rejects_bit_flip(tmp_path, msgfile, capsys):
     prefix = _keygen(tmp_path)
     env = tmp_path / "m.env"

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,13 @@ from semecs import eta, keystore, schnorr
 from semecs.bench import CSV_COLUMNS, read_csv
 from semecs.errors import CorruptState, MalformedEncoding
 from semecs.group import BIG_TOY_GROUP, PRODUCTION_GROUP, TOY_GROUP
-from semecs.semecs import SignedEnvelope, semecs_keygen_from_secret
+from semecs.semecs import (
+    MAX_K,
+    SemecsSigningState,
+    SignedEnvelope,
+    semecs_keygen_from_secret,
+    semecs_sign,
+)
 
 GROUPS = st.sampled_from([TOY_GROUP, BIG_TOY_GROUP, PRODUCTION_GROUP])
 # SEMECS_DECODER_EXAMPLES sets the example count; CI runs this file once more at 2000
@@ -44,6 +51,15 @@ def test_parse_record_reads_any_octet_buffer_into_a_bytes_payload(wrap):
         assert parsed == record
 
 
+def _mutated(octets: bytes, writes, at: int, insert: bytes) -> bytes:
+    """``octets`` with each (position, value) write that lands, then ``insert`` at ``at``."""
+    octets = bytearray(octets)
+    for pos, value in writes:
+        if pos < len(octets):
+            octets[pos] = value
+    return bytes(octets[:at] + insert + octets[at:])
+
+
 def _parses_or_corrupt(data: bytes) -> None:
     try:
         keystore.parse_record(data)
@@ -65,26 +81,65 @@ def test_parse_record_on_arbitrary_bytes(data):
     st.binary(max_size=8),
 )
 def test_parse_record_on_mutated_bodies_with_a_valid_tag(body, writes, cut, insert):
-    body = bytearray(body)
-    for pos, value in writes:
-        if pos < len(body):
-            body[pos] = value
-    body = bytes(body[:cut] + insert + body[cut:])
+    body = _mutated(body, writes, cut, insert)
     _parses_or_corrupt(body + hashlib.blake2s(body).digest())
+
+
+#: (decoder, its encoder), so that what decodes must encode back to its octets
+_ENVELOPE_CODECS = (
+    (SignedEnvelope.from_bytes, lambda params, env: env.to_bytes(params)),
+    (schnorr.decode_signed_message, lambda params, sm: schnorr.encode_signed_message(params, *sm)),
+    (eta.decode_signed_message, lambda params, sm: eta.encode_signed_message(params, *sm)),
+)
+
+
+def _decodes_to_its_octets_or_malformed(params, data: bytes) -> None:
+    for decode, encode in _ENVELOPE_CODECS:
+        try:
+            value = decode(params, data)
+        except MalformedEncoding:
+            continue
+        assert encode(params, value) == data
+
+
+def _sample_envelopes():
+    """(params, envelope) for every scheme, group and a short and a long message."""
+    rng = random.Random(31)
+    envelopes = []
+    for params in (TOY_GROUP, BIG_TOY_GROUP, PRODUCTION_GROUP):
+        for msg in (b"m", bytes(range(1, 41))):
+            kp = schnorr.SchnorrKeyPair.from_private(params, 3)
+            sig = schnorr.schnorr_sign(kp, msg, rng)
+            envelopes.append((params, schnorr.encode_signed_message(params, sig, msg)))
+            sig = eta.eta_sign(eta.EtaSigningState(params, 3, 4, 1, 2), msg, rng)
+            envelopes.append((params, eta.encode_signed_message(params, sig, msg)))
+            env = semecs_sign(SemecsSigningState(params, 3, 0x01020304, MAX_K), msg)
+            envelopes.append((params, env.to_bytes(params)))
+    return envelopes
+
+
+ENVELOPES = _sample_envelopes()
 
 
 @PROPERTY
 @given(GROUPS, st.binary(max_size=120))
 def test_envelope_decoders_on_arbitrary_bytes(params, data):
-    for decode in (
-        SignedEnvelope.from_bytes,
-        schnorr.decode_signed_message,
-        eta.decode_signed_message,
-    ):
-        try:
-            decode(params, data)
-        except MalformedEncoding:
-            pass
+    _decodes_to_its_octets_or_malformed(params, data)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(ENVELOPES),
+    st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255)), max_size=4),
+    st.integers(0, 120),
+    st.binary(max_size=8),
+    st.one_of(st.just(0), st.integers(0, 120)),
+)
+def test_envelope_decoders_on_mutated_envelopes(sample, writes, at, insert, cut):
+    # a real envelope's version octet survives most draws, so the fields are reached
+    params, envelope = sample
+    envelope = _mutated(envelope, writes, at, insert)
+    _decodes_to_its_octets_or_malformed(params, envelope[: max(len(envelope) - cut, 0)])
 
 
 @PROPERTY

@@ -1,7 +1,9 @@
+import fcntl
 import hashlib
 import multiprocessing
 import os
 import random
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +14,7 @@ from semecs.errors import (
     CorruptState,
     DuplicateBeta,
     IoFailure,
+    KeyExhausted,
     StaleState,
     StatePersistFailure,
 )
@@ -28,11 +31,14 @@ from semecs.keystore import (
 )
 from semecs.schnorr import SchnorrKeyPair, schnorr_keygen
 from semecs.semecs import (
+    MAX_K,
     SemecsPublicKey,
+    SemecsSigningState,
     build_search_index,
     extract_private_key,
     semecs_keygen,
     semecs_keygen_from_secret,
+    semecs_sign,
     Tokens,
 )
 
@@ -335,6 +341,38 @@ def test_semecs_record_round_trip(big_toy, rng):
     assert pk2 == pk
 
 
+_PUBLIC_LOADERS = {
+    "eta": keystore.eta_public_from_record,
+    "semecs": keystore.semecs_public_from_record,
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_PUBLIC_LOADERS))
+def test_single_index_keys_round_trip_and_sign_once(tmp_path, scheme):
+    secret, public = keystore.keygen_records(scheme, BIG_TOY_GROUP, 1)
+    pk = _PUBLIC_LOADERS[scheme](parse_record(serialize_record(public)))
+    path = tmp_path / "one.sk"
+    save_state(path, secret)
+    release = SIGNERS[scheme].sign(keystore.open_signer(path), b"the only message")
+    assert release.j == 0 and SIGNERS[scheme].verify(pk, release)
+    with pytest.raises(KeyExhausted):
+        SIGNERS[scheme].sign(keystore.open_signer(path), b"a second message")
+
+
+def test_semecs_state_at_the_largest_capacity_loads_and_signs_its_last_index(tmp_path):
+    state = SemecsSigningState(PRODUCTION_GROUP, 0x5EC5, MAX_K - 1, MAX_K)
+    record = keystore.record_from_semecs_state(state)
+    assert parse_record(serialize_record(record)) == record
+    path = tmp_path / "last.sk"
+    save_state(path, record)
+    handle = keystore.open_signer(path)
+    assert (handle.y, handle.j, handle.K) == (state.y, MAX_K - 1, MAX_K)
+    assert semecs_sign(handle, b"the last index").j == MAX_K - 1
+    assert load_state(path).j == MAX_K
+    with pytest.raises(KeyExhausted):
+        semecs_sign(keystore.open_signer(path), b"one too many")
+
+
 def test_loaded_semecs_public_key_views_its_payload():
     # a K = 1024 production key's payload is 65 568 octets; 2K token objects
     # of 32 octets each would keep about 150 KB beyond it
@@ -445,6 +483,32 @@ def test_advance_counter_stops_at_capacity(tmp_path):
     advance_counter(path, 0)
     with pytest.raises(StaleState):
         advance_counter(path, 1)
+
+
+def test_signer_waits_for_the_lock_on_its_keys_directory(tmp_path, monkeypatch, signer):
+    # the lock is on the directory that holds the file, wherever the process runs
+    keys, elsewhere = tmp_path / "keys", tmp_path / "elsewhere"
+    keys.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    record, pk = signer.keygen(BIG_TOY_GROUP, 4, 77)
+    path = keys / "signer.sk"
+    save_state(path, record)
+    handle, releases = keystore.open_signer(path), []
+    thread = threading.Thread(target=lambda: releases.append(signer.sign(handle, b"m")))
+    fd = os.open(keys, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        thread.start()
+        thread.join(timeout=0.3)
+        assert thread.is_alive() and load_state(path).j == 0
+    finally:
+        os.close(fd)  # releases the lock
+        if thread.ident is not None:
+            thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [release.j for release in releases] == [0] and load_state(path).j == 1
+    assert signer.verify(pk, releases[0])
 
 
 def test_interleaved_writers_cannot_share_an_index(tmp_path):
