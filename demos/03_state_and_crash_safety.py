@@ -16,7 +16,7 @@ from semecs import (
     StatePersistFailure,
     advance_counter,
     load_state,
-    open_semecs_signer,
+    open_signer,
     save_state,
     semecs_keygen,
     semecs_sign,
@@ -31,7 +31,7 @@ state, pk = semecs_keygen(params, K=4)
 save_state(sk_path, record_from_semecs_state(state))
 print(f"state file: {sk_path} ({sk_path.stat().st_size} octets)")
 
-signer = open_semecs_signer(sk_path)
+signer = open_signer(sk_path)
 for text in (b"reading 1", b"reading 2"):
     env = semecs_sign(signer, text)
     print(f"signed {text!r} at index {env.j}; on-disk counter now {load_state(sk_path).j}")
@@ -44,7 +44,7 @@ except StaleState as exc:
     print(f"\nstale writer rejected: {exc}")
 
 # --- simulated crash between durable advance and envelope release ------------
-crashy = open_semecs_signer(sk_path)
+crashy = open_signer(sk_path)
 durable = crashy.persist
 
 
@@ -59,12 +59,12 @@ try:
 except StatePersistFailure:
     print(f"\ncrash injected: index 2 burned, counter on disk = {load_state(sk_path).j}")
 
-recovered = open_semecs_signer(sk_path)
+recovered = open_signer(sk_path)
 env = semecs_sign(recovered, b"after recovery")
 print(f"recovery signs at index {env.j} -- the burned index is never reused")
 
 # --- exhaustion fails closed --------------------------------------------------
 try:
-    semecs_sign(open_semecs_signer(sk_path), b"one past the end")
+    semecs_sign(open_signer(sk_path), b"one past the end")
 except KeyExhausted as exc:
     print(f"\ncapacity reached: {exc}")

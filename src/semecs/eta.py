@@ -42,13 +42,13 @@ X_LEN = 16  # kappa = 128 bits of per-signature randomness
 class EtaSigningState(_SigningState):
     """Mutable signer state: (y, current chain value, counter); ``persist(j, r_{j+1})``.
 
-    sign() mutates the state in place under ``lock``.  Previous chain values
-    are dropped on advance and are not recoverable from the fields kept here.
+    sign() moves it under ``lock`` after any hook returns; open_signer's stores y and r_{j+1}.
+    Dropped chain values are not recoverable from the fields kept here.
     """
 
     def __init__(self, params: GroupParams, y: int, r_cur: int, j: int, K: int) -> None:
         self.params, self.y, self.r_cur, self.j, self.K = params, y, r_cur, j, K
-        self.persist, self.lock = None, threading.Lock()
+        self.lock = threading.Lock()
 
 
 class EtaPublicKey(_KTimePublicKey, namedtuple("EtaPublicKey", "params Y tokens")):

@@ -234,8 +234,8 @@ def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) 
     """Compare-and-set the on-disk counter from expected_j to expected_j + 1.
 
     ``new_payload`` atomically replaces the secret payload in the same write
-    (the ETA chain value moves with the counter; SEMECS payloads never
-    change).  A mismatched counter means another writer got there first.
+    (open_signer's hook moves ETA's chain value; SEMECS's y is rewritten as
+    it was).  A mismatched counter means another writer got there first.
     The read, compare and write run under one directory lock, so two
     processes cannot both advance from the same expected_j.
     """
@@ -258,12 +258,6 @@ def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) 
 # ---------------------------------------------------------------------------
 # Scheme objects <-> records
 # ---------------------------------------------------------------------------
-
-def _record(
-    tag: int, role: int, params: GroupParams, payload: bytes, j: int = 0, K: int = 0
-) -> SignerStateRecord:
-    return SignerStateRecord(tag, role, params, j, K, payload)
-
 
 def _payload(record: SignerStateRecord, tag: int, role: int, size: int) -> bytes:
     """The payload of a ``tag``/``role`` record, which must be ``size`` octets.
@@ -318,7 +312,8 @@ def _public_from_record(record: SignerStateRecord, tag: int, key_type):
 
 
 def record_from_schnorr_key(kp: schnorr_mod.SchnorrKeyPair) -> SignerStateRecord:
-    return _record(SCHEME_SCHNORR, ROLE_SECRET, kp.params, _scalar_payload(kp.params, kp.y))
+    payload = _scalar_payload(kp.params, kp.y)
+    return SignerStateRecord(SCHEME_SCHNORR, ROLE_SECRET, kp.params, 0, 0, payload)
 
 
 def schnorr_key_from_record(record: SignerStateRecord) -> schnorr_mod.SchnorrKeyPair:
@@ -329,7 +324,8 @@ def schnorr_key_from_record(record: SignerStateRecord) -> schnorr_mod.SchnorrKey
 def record_from_schnorr_public(
     params: GroupParams, big_y: int
 ) -> SignerStateRecord:
-    return _record(SCHEME_SCHNORR, ROLE_PUBLIC, params, encode_element(params, big_y))
+    payload = encode_element(params, big_y)
+    return SignerStateRecord(SCHEME_SCHNORR, ROLE_PUBLIC, params, 0, 0, payload)
 
 
 def schnorr_public_from_record(record: SignerStateRecord) -> int:
@@ -341,7 +337,7 @@ def schnorr_public_from_record(record: SignerStateRecord) -> int:
 
 def record_from_eta_state(state: eta_mod.EtaSigningState) -> SignerStateRecord:
     payload = _scalar_payload(state.params, state.y, state.r_cur)
-    return _record(SCHEME_ETA, ROLE_STATE, state.params, payload, state.j, state.K)
+    return SignerStateRecord(SCHEME_ETA, ROLE_STATE, state.params, state.j, state.K, payload)
 
 
 def eta_state_from_record(record: SignerStateRecord) -> eta_mod.EtaSigningState:
@@ -350,7 +346,7 @@ def eta_state_from_record(record: SignerStateRecord) -> eta_mod.EtaSigningState:
 
 
 def record_from_eta_public(pk: eta_mod.EtaPublicKey) -> SignerStateRecord:
-    return _record(SCHEME_ETA, ROLE_PUBLIC, pk.params, pk.payload, K=pk.K)
+    return SignerStateRecord(SCHEME_ETA, ROLE_PUBLIC, pk.params, 0, pk.K, pk.payload)
 
 
 def eta_public_from_record(record: SignerStateRecord) -> eta_mod.EtaPublicKey:
@@ -359,7 +355,7 @@ def eta_public_from_record(record: SignerStateRecord) -> eta_mod.EtaPublicKey:
 
 def record_from_semecs_state(state: semecs_mod.SemecsSigningState) -> SignerStateRecord:
     payload = _scalar_payload(state.params, state.y)
-    return _record(SCHEME_SEMECS, ROLE_STATE, state.params, payload, state.j, state.K)
+    return SignerStateRecord(SCHEME_SEMECS, ROLE_STATE, state.params, state.j, state.K, payload)
 
 
 def semecs_state_from_record(record: SignerStateRecord) -> semecs_mod.SemecsSigningState:
@@ -368,7 +364,7 @@ def semecs_state_from_record(record: SignerStateRecord) -> semecs_mod.SemecsSign
 
 
 def record_from_semecs_public(pk: semecs_mod.SemecsPublicKey) -> SignerStateRecord:
-    return _record(SCHEME_SEMECS, ROLE_PUBLIC, pk.params, pk.payload, K=pk.K)
+    return SignerStateRecord(SCHEME_SEMECS, ROLE_PUBLIC, pk.params, 0, pk.K, pk.payload)
 
 
 def semecs_public_from_record(record: SignerStateRecord) -> semecs_mod.SemecsPublicKey:
@@ -397,15 +393,12 @@ def open_signer(path, record=None):
     ``record`` is the file's record when the caller has already loaded it.
     """
     record = load_state(path) if record is None else record
-    if record.scheme_tag == SCHEME_ETA:
-        state = eta_state_from_record(record)
-        params, y = state.params, state.y
-        state.persist = lambda j, r_next: advance_counter(
-            path, j, new_payload=_scalar_payload(params, y, r_next))
-    else:
-        state = semecs_state_from_record(record)
-        state.persist = lambda j: advance_counter(path, j)
+    load = eta_state_from_record if record.scheme_tag == SCHEME_ETA else semecs_state_from_record
+    state = load(record)
+    params, y = state.params, state.y
+    state.persist = lambda j, *moved: advance_counter(
+        path, j, new_payload=_scalar_payload(params, y, *moved))
     return state
 
 
-open_semecs_signer = open_signer  # the name that callers written for SEMECS alone use
+open_semecs_signer = open_signer  # perfbench/workloads.py's sign_durable is its last caller

@@ -174,6 +174,8 @@ class _SigningState:
     hashable, and its repr shows no secret.
     """
 
+    persist = None  # signs in memory until keystore.open_signer, or a caller, assigns a hook
+
     def _value(self) -> dict:
         return {k: v for k, v in vars(self).items() if k not in ("lock", "persist", "_seeded")}
 
@@ -208,11 +210,10 @@ class _SigningState:
 
 
 class SemecsSigningState(_SigningState):
-    """The signer's entire secret: y plus the monotone counter j; ``persist(j)``."""
+    """The whole secret, y and counter j; open_signer's ``persist(j)`` rewrites y as it was."""
 
-    def __init__(self, params: GroupParams, y: int, j: int, K: int,
-                 persist: Optional[Callable[[int], None]] = None) -> None:
-        self.params, self.y, self.j, self.K, self.persist = params, y, j, K, persist
+    def __init__(self, params: GroupParams, y: int, j: int, K: int) -> None:
+        self.params, self.y, self.j, self.K = params, y, j, K
         self.lock, self._seeded = threading.Lock(), _seeded_pair(params, y)
 
 

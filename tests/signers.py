@@ -1,9 +1,10 @@
 """The two K-time signers behind one interface, for the durable-signing tests.
 
 Each :class:`Signer` makes a state record, signs on a handle that
-``keystore.open_signer`` opened from its file, and verifies what it released.  A release
-carries the transcript (e, s) that ``extract_private_key`` solves, so a test
-can show what a reused index would give away.
+``keystore.open_signer`` opened from its file, verifies what it released and
+writes a handle's state record.  A release carries the transcript (e, s) that
+``extract_private_key`` solves, so a test can show what a reused index would
+give away.
 """
 
 from typing import Callable, NamedTuple
@@ -33,6 +34,7 @@ class Signer(NamedTuple):
     keygen: Callable  # (params, K, y) -> (state record, public key)
     sign: Callable  # (signer, message) -> Release
     verify: Callable  # (public key, Release) -> bool
+    record: Callable  # (signer) -> its state record
 
 
 def _semecs_keygen(params, K, y):
@@ -61,9 +63,11 @@ SIGNERS = {
     "eta": Signer(
         _eta_keygen, _eta_sign,
         lambda pk, r: eta_verify(pk, r.message, r.signature),
+        keystore.record_from_eta_state,
     ),
     "semecs": Signer(
         _semecs_keygen, _semecs_sign,
         lambda pk, r: semecs_verify_indexed(pk, r.signature)[0],
+        keystore.record_from_semecs_state,
     ),
 }

@@ -197,7 +197,7 @@ def test_criterion_6_exhaustion_and_crash_safety(tmp_path, big_toy):
         released = []
         faults = 0
         while faults < 1000:
-            signer = keystore.open_semecs_signer(path)
+            signer = keystore.open_signer(path)
             if rnd.random() < 0.5:
                 durable = signer.persist
 

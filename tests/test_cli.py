@@ -563,6 +563,13 @@ def test_energy_report_unknown_profile(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("code, expected", [("a message, not a status", 2), (None, 2), (3, 3)])
+def test_a_system_exit_without_an_int_status_is_a_usage_error(tmp_path, capsys, code, expected):
+    with mock.patch.object(cli, "_cmd_inspect", side_effect=SystemExit(code)):
+        assert main(["inspect", str(tmp_path / "any.sk")]) == expected
+    assert capsys.readouterr().out == ""
+
+
 def test_only_main_maps_errors_to_exit_codes():
     tree = ast.parse(Path(cli.__file__).read_text())
     main_def = next(n for n in tree.body if getattr(n, "name", None) == "main")

@@ -5,7 +5,9 @@ hit one of the nine ``faults.ADVANCE_FAULTS``, reopened handles, signs on
 stale handles and exhaustion.  After every step it checks that no two
 released signatures share an index (so ``extract_private_key`` never gets two
 transcripts at one index), that the on-disk counter lies past every released
-index and that no temporary ``.smks.*`` file is left.
+index and that no temporary ``.smks.*`` file is left.  After every release it
+checks the one release rule: the file holds exactly the releasing handle's
+state record.
 
 Each example makes at most K = 12 durable advances, so the two machines
 together make at most 2 * 10 * 12 = 240.  No process is started.
@@ -63,6 +65,8 @@ class DurableSigning(RuleBasedStateMachine):
             assert handle._value() == before
             return None
         assert self.signer.verify(self.pk, release)
+        with open(self.path, "rb") as fh:
+            assert fh.read() == keystore.serialize_record(self.signer.record(handle))
         self.releases.append(release)
         return release
 

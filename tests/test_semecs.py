@@ -736,7 +736,8 @@ def test_signer_states_compare_by_value_and_are_unhashable():
     semecs = SemecsSigningState(TOY_GROUP, y=3, j=1, K=4)
     eta = EtaSigningState(TOY_GROUP, y=3, r_cur=5, j=1, K=4)
     # lock and persist take no part in ==
-    same_semecs = SemecsSigningState(TOY_GROUP, y=3, j=1, K=4, persist=print)
+    same_semecs = SemecsSigningState(TOY_GROUP, y=3, j=1, K=4)
+    same_semecs.persist = print
     same_eta = EtaSigningState(TOY_GROUP, y=3, r_cur=5, j=1, K=4)
     assert semecs.lock is not same_semecs.lock and eta.lock is not same_eta.lock
     assert semecs == same_semecs and not semecs != same_semecs
