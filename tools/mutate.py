@@ -94,7 +94,10 @@ def mutants(path, names):
         return (offsets[node.lineno - 1] + node.col_offset,
                 offsets[node.end_lineno - 1] + node.end_col_offset)
 
-    for qualname, function in _functions(ast.parse(source), set(names)):
+    functions = dict(_functions(ast.parse(source), set(names)))
+    if set(names) - set(functions):  # a renamed function would silently leave the scope
+        raise SystemExit(f"{path}: no function named {sorted(set(names) - set(functions))}")
+    for qualname, function in functions.items():
         changes = [(node, desc, new) for node in ast.walk(function)
                    for desc, new in _variants(node, qualname)]
         changes += [(test, "if x -> if not x", ast.UnaryOp(ast.Not(), test))
