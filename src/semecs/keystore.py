@@ -230,14 +230,16 @@ def _directory_lock(path):
         os.close(fd)
 
 
-def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) -> None:
+def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None,
+                    expected: Optional[SignerStateRecord] = None) -> None:
     """Compare-and-set the on-disk counter from expected_j to expected_j + 1.
 
     ``new_payload`` atomically replaces the secret payload in the same write
     (open_signer's hook moves ETA's chain value; SEMECS's y is rewritten as
-    it was).  A mismatched counter means another writer got there first.
-    The read, compare and write run under one directory lock, so two
-    processes cannot both advance from the same expected_j.
+    it was).  A mismatched counter means another writer got there first; a
+    record other than ``expected`` (open_signer passes its handle's) holds
+    another key and is left as it is.  One directory lock covers the read,
+    compare and write, so two processes cannot both advance from one j.
     """
     with _directory_lock(path):
         record = load_state(path)
@@ -246,13 +248,12 @@ def advance_counter(path, expected_j: int, new_payload: Optional[bytes] = None) 
                 f"on-disk counter is {record.j}, expected {expected_j} "
                 "(concurrent writer or stale handle)"
             )
+        if expected is not None and record != expected:
+            raise StaleState("the state file holds another key (replaced under this handle)")
         if record.j + 1 > record.K:
             raise StaleState(f"counter cannot advance past capacity K={record.K}")
-        updated = record._replace(
-            j=record.j + 1,
-            payload=record.payload if new_payload is None else new_payload,
-        )
-        save_state(path, updated)
+        payload = record.payload if new_payload is None else new_payload
+        save_state(path, record._replace(j=record.j + 1, payload=payload))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +394,11 @@ def open_signer(path, record=None):
     ``record`` is the file's record when the caller has already loaded it.
     """
     record = load_state(path) if record is None else record
-    load = eta_state_from_record if record.scheme_tag == SCHEME_ETA else semecs_state_from_record
-    state = load(record)
-    params, y = state.params, state.y
+    eta = record.scheme_tag == SCHEME_ETA
+    state = (eta_state_from_record if eta else semecs_state_from_record)(record)
+    write = record_from_eta_state if eta else record_from_semecs_state
     state.persist = lambda j, *moved: advance_counter(
-        path, j, new_payload=_scalar_payload(params, y, *moved))
+        path, j, _scalar_payload(state.params, state.y, *moved), write(state))
     return state
 
 

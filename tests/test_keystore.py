@@ -609,18 +609,24 @@ def test_open_signer_writes_through(tmp_path, big_toy, signer):
     assert signer.sign(handle2, b"next").j == 1
 
 
-def test_a_release_writes_the_handles_state_over_a_swapped_file(tmp_path, big_toy, signer):
-    # another key's state at the same counter replaces the file under an open
-    # handle: the compare-and-set on j passes, and the release writes the
-    # handle's own state, y included, as for every release
+@pytest.mark.parametrize("swap", ["another key", "another K", "the other scheme"])
+def test_a_release_refuses_a_swapped_state_file(tmp_path, big_toy, signer, swap):
+    # another state at the same counter replaces the file under an open handle:
+    # the compare-and-set on j passes, but the file is not the handle's record,
+    # so nothing is released and the other state keeps its octets
     path = tmp_path / "signer.sk"
     save_state(path, signer.keygen(big_toy, 4, 77)[0])
     handle = keystore.open_signer(path)
-    other = signer.keygen(big_toy, 4, 78)[0]
+    other_scheme = next(s for s in SIGNERS.values() if s is not signer)
+    scheme, K, y = {"another key": (signer, 4, 78), "another K": (signer, 5, 77),
+                    "the other scheme": (other_scheme, 4, 77)}[swap]
+    other = scheme.keygen(big_toy, K, y)[0]
     save_state(path, other)
-    assert signer.sign(handle, b"after the swap").j == 0
-    assert path.read_bytes() == serialize_record(signer.record(handle))
-    assert load_state(path) != other._replace(j=1)
+    before = handle._value()
+    with pytest.raises(StatePersistFailure) as info:
+        signer.sign(handle, b"after the swap")
+    assert isinstance(info.value.__cause__, StaleState)
+    assert path.read_bytes() == serialize_record(other) and handle._value() == before
 
 
 def test_restarted_eta_signer_never_reuses_an_index(tmp_path, big_toy):

@@ -1,7 +1,7 @@
 """Mutation check of the signer's release path: which broken checks does no test notice?
 
 Usage:
-    python tools/mutate.py [--out survivors.json] [--equivalents FILE] [pytest args ...]
+    python tools/mutate.py
 
 Each mutant changes one operator in one of the functions in ``SCOPE``:
 a comparison is flipped (``<`` and ``<=``, ``==`` and ``!=``, ``in`` and
@@ -10,16 +10,16 @@ an ``if`` test is negated, and in ``cli.main`` the two error exit codes trade
 places.  The repository is copied into a temporary directory first, and
 every mutant is written there, so the checkout is never touched and an
 interrupted run leaves no mutant behind.  Mutants run one at a time; a
-mutant is killed when the test run (tier-1 by default, or the pytest
-arguments given) fails or times out.
+mutant is killed when tier-1 (``PYTEST_ARGS``) fails or runs past
+``TIMEOUT_S``.
 
-The survivors are written as JSON.  The exit status is 1 when a survivor is
-not listed, with a one-line reason, in the equivalents file
-(``tools/mutation_equivalents.json``), and 0 otherwise.  Only the standard
-library is used.
+A mutant's id is its file, function, change and the source of the changed
+expression, so an edit elsewhere in the file leaves the ids as they were.
+The survivors are written as JSON to ``OUT``.  The exit status is 1 when a
+survivor is not listed, with a one-line reason, in ``EQUIVALENTS``, and 0
+otherwise.  Only the standard library is used.
 """
 
-import argparse
 import ast
 import json
 import os
@@ -29,6 +29,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "mutation-survivors.json")
+EQUIVALENTS = os.path.join(ROOT, "tools", "mutation_equivalents.json")
+TIMEOUT_S = 600
+PYTEST_ARGS = ["-x", "-q", "-p", "no:cacheprovider", "tests"]
 
 SCOPE = {
     "src/semecs/keystore.py": ["open_signer", "advance_counter", "_directory_lock",
@@ -97,6 +101,7 @@ def mutants(path, names):
     functions = dict(_functions(ast.parse(source), set(names)))
     if set(names) - set(functions):  # a renamed function would silently leave the scope
         raise SystemExit(f"{path}: no function named {sorted(set(names) - set(functions))}")
+    seen = {}
     for qualname, function in functions.items():
         changes = [(node, desc, new) for node in ast.walk(function)
                    for desc, new in _variants(node, qualname)]
@@ -107,7 +112,10 @@ def mutants(path, names):
             text = ast.unparse(new)
             if "\n" in source[start:end] or isinstance(new, (ast.BoolOp, ast.UnaryOp)):
                 text = f"({text})"
-            mutant_id = f"{path}:{qualname}:{node.lineno}:{node.col_offset}: {desc}"
+            mutant_id = f"{path}:{qualname}: {desc}: {ast.unparse(node)}"
+            seen[mutant_id] = seen.get(mutant_id, 0) + 1
+            if seen[mutant_id] > 1:  # the same expression twice in one function
+                mutant_id += f" [{seen[mutant_id]}]"
             yield mutant_id, source[:start] + text + source[end:]
 
 
@@ -117,15 +125,8 @@ def _copy_tree(destination):
     shutil.copytree(ROOT, destination, ignore=ignore)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default="mutation-survivors.json")
-    parser.add_argument("--equivalents",
-                        default=os.path.join(ROOT, "tools", "mutation_equivalents.json"))
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    args, pytest_args = parser.parse_known_args(argv)
-    pytest_args = pytest_args or ["-q", "tests"]
-    with open(args.equivalents) as fh:
+def main():
+    with open(EQUIVALENTS) as fh:
         equivalents = {entry["id"]: entry["reason"] for entry in json.load(fh)}
 
     survivors, total = [], 0
@@ -143,10 +144,9 @@ def main(argv=None):
                     total += 1
                     with open(target, "w") as fh:
                         fh.write(source)
-                    command = [sys.executable, "-m", "pytest", "-x", "-p", "no:cacheprovider",
-                               *pytest_args]
+                    command = [sys.executable, "-m", "pytest", *PYTEST_ARGS]
                     try:
-                        result = subprocess.run(command, cwd=tree, env=env, timeout=args.timeout,
+                        result = subprocess.run(command, cwd=tree, env=env, timeout=TIMEOUT_S,
                                                 stdout=subprocess.DEVNULL,
                                                 stderr=subprocess.DEVNULL)
                         killed = result.returncode != 0
@@ -160,7 +160,7 @@ def main(argv=None):
                 with open(target, "w") as fh:
                     fh.write(original)
 
-    with open(args.out, "w") as fh:
+    with open(OUT, "w") as fh:
         json.dump({"mutants": total, "survivors": survivors}, fh, indent=2)
     unlisted = [s["id"] for s in survivors if s["equivalent"] is None]
     print(f"{total} mutants, {len(survivors)} survived, {len(unlisted)} not listed as equivalent")
